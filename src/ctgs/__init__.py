@@ -59,6 +59,7 @@ from .sampling import (
     sampling_operator,
 )
 from .signals import (
+    GraphSignal,
     PeriodicSignal,
     membership_violations,
     quotient_witness,

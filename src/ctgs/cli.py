@@ -228,9 +228,7 @@ def _cmd_redistribute(problem, args):
         domain = per
     else:
         domain = window if window is not None else (Fraction(-20), Fraction(20))
-    base_grids = tuple(g for g in plan.grids if g.grid_id.startswith("base"))
-    base_plan_like = plan
-    base_set = build_sample_set(base_plan_like, mode, domain)
+    base_set = build_sample_set(plan, mode, domain)
     base_only = type(base_set)(n=base_set.n, mode=base_set.mode, period=base_set.period,
                                window=base_set.window,
                                grids=tuple(g for g in base_set.grids if g.grid_id.startswith("base")))

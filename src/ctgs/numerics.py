@@ -37,19 +37,24 @@ _FLOAT_TO_FRACTION_MAX_DEN = 10**9
 def as_bandwidth(value, pointer=""):
     """Coerce a JSON-ish value to an extended-real bandwidth.
 
-    Accepts non-negative ints/floats, ``Fraction``, the string ``"inf"``
-    and float infinity. Non-rational floats are snapped to a nearby
-    rational with a warning (periodic-mode grids need exact rationals).
+    Accepts non-negative ints/floats, ``Fraction``, exact ``"p/q"``
+    strings, the string ``"inf"`` and float infinity. Non-rational floats
+    are snapped to a nearby rational with a warning (periodic-mode grids
+    need exact rationals).
     """
     from .errors import ProblemFormatError
 
     if isinstance(value, str):
         if value.strip().lower() in ("inf", "infinity"):
             return INF
-        raise ProblemFormatError(f"bandwidth string must be 'inf', got {value!r}", pointer)
-    if isinstance(value, bool):
+        try:
+            frac = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ProblemFormatError(
+                f"bandwidth string must be 'inf' or 'p/q', got {value!r}", pointer) from None
+    elif isinstance(value, bool):
         raise ProblemFormatError("bandwidth must be a number or 'inf'", pointer)
-    if isinstance(value, Fraction):
+    elif isinstance(value, Fraction):
         frac = value
     elif isinstance(value, int):
         frac = Fraction(value)

@@ -356,6 +356,14 @@ class Stage:
     grid_ids: tuple
 
 
+def rates_by_vertex(grids) -> dict:
+    """Summed grid rate at each vertex that carries a grid."""
+    rates: dict = {}
+    for g in grids:
+        rates[g.vertex] = rates.get(g.vertex, Fraction(0)) + g.rate
+    return rates
+
+
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
     """Vertex grids plus the staged recovery schedule they support."""
@@ -380,10 +388,13 @@ class SamplingPlan:
 
     @property
     def per_vertex_rates(self) -> dict:
-        rates: dict = {}
-        for g in self.grids:
-            rates[g.vertex] = rates.get(g.vertex, Fraction(0)) + g.rate
-        return rates
+        return rates_by_vertex(self.grids)
+
+    @property
+    def unknowns(self) -> tuple:
+        """Unknown blocks in plan order: base vertices, then levels ascending."""
+        return (tuple(("base", w) for w in self.base_vertices)
+                + tuple(("level", spec.level) for spec in self.levels))
 
     def base_col(self, vertex: int) -> int:
         return self.base_vertices.index(vertex)
@@ -403,15 +414,17 @@ class SamplingPlan:
             return Fraction(self.vertex_bw[key])
         return self.level_spec(key).b
 
-    def visibility(self, unknown, vertex: int) -> float:
-        """Scale with which an unknown block's content shows up at a vertex."""
+    def extension_column(self, unknown) -> np.ndarray:
+        """How an unknown block's scalar content extends to every vertex."""
         kind, key = unknown
         if kind == "base":
-            return float(self.base_extension[vertex, self.base_col(key)])
+            return self.base_extension[:, self.base_col(key)]
         spec = self.level_spec(key)
-        if vertex in spec.v_set:
-            return 1.0 if vertex == spec.vertex else 0.0
-        return float(spec.extension[vertex, spec.col])
+        return spec.extension[:, spec.col]
+
+    def visibility(self, unknown, vertex: int) -> float:
+        """Scale with which an unknown block's content shows up at a vertex."""
+        return float(self.extension_column(unknown)[vertex])
 
 
 VISIBILITY_TOL = 1e-10
@@ -816,37 +829,23 @@ def _place_spread_grids(spread_grids, existing_grids) -> list:
     return out
 
 
-def choose_spread(spectrum, lambda0, vertex_bw, v0, v_star):
-    """Pick the lower-eccentricity spread of the two constructions."""
+def _ranked_spreads(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
+    """Both spread constructions, lowest top per-vertex rate first."""
     options = [_prefix_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star),
                _level_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star)]
-    best = None
-    for grids, base_stages in options:
-        rates: dict = {}
-        for g in grids:
-            rates[g.vertex] = rates.get(g.vertex, Fraction(0)) + g.rate
-        top = max(rates.values()) if rates else Fraction(0)
-        if best is None or top < best[0]:
-            best = (top, grids, base_stages)
-    return best[1], best[2]
+    return sorted(options, key=lambda opt: max(rates_by_vertex(opt[0]).values(),
+                                               default=Fraction(0)))
+
+
+def choose_spread(spectrum, lambda0, vertex_bw, v0, v_star):
+    """Pick the lower-eccentricity spread of the two constructions."""
+    return _ranked_spreads(spectrum, lambda0, vertex_bw, v0, v_star)[0]
 
 
 def _spread_candidates(plan: SamplingPlan, spectrum: Spectrum, v_star: Sequence[int]) -> list:
     """Both spread constructions as full plans, lowest eccentricity first."""
-    options = [
-        _prefix_spread_grids(spectrum, plan.base_lambda0, plan.vertex_bw,
-                             plan.base_vertices, v_star),
-        _level_spread_grids(spectrum, plan.base_lambda0, plan.vertex_bw,
-                            plan.base_vertices, v_star),
-    ]
-
-    def top_rate(grids):
-        rates: dict = {}
-        for g in grids:
-            rates[g.vertex] = rates.get(g.vertex, Fraction(0)) + g.rate
-        return max(rates.values()) if rates else Fraction(0)
-
-    options.sort(key=lambda opt: top_rate(opt[0]))
+    options = _ranked_spreads(spectrum, plan.base_lambda0, plan.vertex_bw,
+                              plan.base_vertices, v_star)
     kept = [g for g in plan.grids if not g.grid_id.startswith("base")]
     candidates = []
     for spread_grids, base_stages in options:

@@ -177,12 +177,11 @@ def observation_csv(observation) -> str:
 def plotdata_csv(truth, recovered, n: int, t0: float, t1: float, points: int = 512) -> str:
     """Per-vertex (time, truth, recovered) series for plotting."""
     times = np.linspace(t0, t1, points)
+    truth_vals, recovered_vals = truth.eval_all(times), recovered.eval_all(times)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["vertex", "time", "truth", "recovered"])
     for v in range(n):
-        tv = truth.eval(v, times)
-        rv = recovered.eval(v, times)
-        for t, a, b in zip(times, tv, rv):
+        for t, a, b in zip(times, truth_vals[v], recovered_vals[v]):
             writer.writerow([v, float(t), repr(float(a)), repr(float(b))])
     return buf.getvalue()

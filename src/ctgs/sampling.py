@@ -9,17 +9,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ProblemFormatError, ReconstructionError
-from .numerics import harmonic_cutoff, n_trig_coeffs
-from .planner import SamplingPlan, _place_spread_grids, choose_spread
+from .numerics import least_period
+from .planner import SamplingPlan, _place_spread_grids, choose_spread, rates_by_vertex
 from .signals import (
-    CompositeSignal,
     GraphSignal,
-    PeriodicSignal,
-    TrigSeries,
-    assemble_periodic,
-    make_sinc_series,
+    assemble,
+    draw_contents,
+    pad_coeffs,
+    scalar_basis,
     sinc_indices,
-    trig_design,
 )
 from .spectral import Spectrum
 
@@ -45,11 +43,13 @@ class SampleSet:
     window: Optional[tuple]
     grids: tuple
 
+    @property
+    def domain(self):
+        """The period (periodic mode) or the window (sinc mode)."""
+        return self.period if self.mode == "periodic" else self.window
+
     def per_vertex_rates(self) -> dict:
-        rates: dict = {}
-        for g in self.grids:
-            rates[g.vertex] = rates.get(g.vertex, Fraction(0)) + g.rate
-        return rates
+        return rates_by_vertex(self.grids)
 
     def grid(self, grid_id: str) -> RealizedGrid:
         for g in self.grids:
@@ -188,42 +188,35 @@ def sample_signal(signal: GraphSignal, sample_set: SampleSet) -> Observation:
 
 # --- staged recovery -------------------------------------------------------
 
-def _unknown_design(plan, unknown, times, mode, period, window):
-    """Basis-evaluation matrix of one unknown block at the given times."""
-    bw = plan.unknown_bandwidth(unknown)
-    if mode == "periodic":
-        cutoff = harmonic_cutoff(bw, period)
-        return trig_design(times, cutoff, float(period)), n_trig_coeffs(cutoff)
-    rate = 2 * Fraction(bw)
-    if rate == 0:
-        return np.zeros((len(times), 0)), 0
-    lo, hi = sinc_indices(rate, Fraction(0), window)
-    cols = hi - lo + 1
-    args = float(rate) * np.asarray(times, float)[:, None] - np.arange(lo, hi + 1)[None, :]
-    return np.sinc(args), cols
+def _bases(plan: SamplingPlan, mode: str, domain) -> dict:
+    """Scalar basis (width, design map) of every plan unknown."""
+    return {u: scalar_basis(mode, domain, plan.unknown_bandwidth(u)) for u in plan.unknowns}
 
 
-def _content_series(plan, unknown, coeffs, mode, period, window):
-    bw = plan.unknown_bandwidth(unknown)
-    if mode == "periodic":
-        return TrigSeries(period=period, coeffs=np.asarray(coeffs, float))
-    rate = 2 * Fraction(bw)
-    if rate == 0:
-        return None
-    return make_sinc_series(rate, Fraction(0), window, coeffs)
+def _layout(unknowns, bases) -> tuple:
+    """Column blocks (unknown, first column, width) and the total width."""
+    blocks, total = [], 0
+    for u in unknowns:
+        blocks.append((u, total, bases[u][0]))
+        total += bases[u][0]
+    return blocks, total
 
 
-def _eval_content(content, times):
-    if content is None or len(times) == 0:
-        return np.zeros(len(times))
-    return content.eval(np.asarray(times, float))
+def _design_rows(plan, blocks, total, bases, vertex, times) -> np.ndarray:
+    """Observation rows at ``vertex``: each visible block's scaled design."""
+    rows = np.zeros((len(times), total))
+    for u, lo, cols in blocks:
+        scale = plan.visibility(u, vertex)
+        if scale != 0.0 and cols:
+            rows[:, lo:lo + cols] = scale * bases[u][1](times)
+    return rows
 
 
 @dataclass(eq=False)
 class RecoveryResult:
     recovered: GraphSignal
     components: list          # level 0 first, then one per quotient level
-    per_level_contents: dict  # unknown -> scalar series
+    per_level_contents: dict  # unknown -> scalar basis coefficients
     diagnostics: dict
 
 
@@ -237,19 +230,14 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
     Raises with diagnostics when a stage system is rank deficient or
     inconsistent with the observations.
     """
-    mode = sample_set.mode
-    period, window = sample_set.period, sample_set.window
+    mode, domain = sample_set.mode, sample_set.domain
+    bases = _bases(plan, mode, domain)
     obs_by_grid = observation.by_grid()
     contents: dict = {}
     diagnostics: dict = {"stages": []}
 
     for stage in plan.stages:
-        blocks = []
-        total_cols = 0
-        for unknown in stage.unknowns:
-            _, cols = _unknown_design(plan, unknown, np.zeros(0), mode, period, window)
-            blocks.append((unknown, total_cols, cols))
-            total_cols += cols
+        blocks, total_cols = _layout(stage.unknowns, bases)
         rows_a, rows_y, n_rows = [], [], 0
         for gid in stage.grid_ids:
             grid = sample_set.grid(gid)
@@ -260,22 +248,16 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
                     {"grid": gid, "expected": len(grid.times), "got": len(pairs)})
             times = np.array([float(t) for t, _ in pairs])
             values = np.array([v for _, v in pairs])
-            for solved, series in contents.items():
+            for solved, coeffs in contents.items():
                 scale = plan.visibility(solved, grid.vertex)
                 if scale != 0.0:
-                    values = values - scale * _eval_content(series, times)
-            row = np.zeros((len(times), total_cols))
-            for unknown, lo, cols in blocks:
-                scale = plan.visibility(unknown, grid.vertex)
-                if scale != 0.0 and cols:
-                    design, _ = _unknown_design(plan, unknown, times, mode, period, window)
-                    row[:, lo:lo + cols] = scale * design
-            rows_a.append(row)
+                    values = values - scale * (bases[solved][1](times) @ coeffs)
+            rows_a.append(_design_rows(plan, blocks, total_cols, bases, grid.vertex, times))
             rows_y.append(values)
             n_rows += len(times)
         if total_cols == 0:
             for unknown, _, _ in blocks:
-                contents[unknown] = _content_series(plan, unknown, np.zeros(0), mode, period, window)
+                contents[unknown] = np.zeros(0)
             continue
         if n_rows == 0:
             raise ReconstructionError("stage has unknowns but no observations",
@@ -296,44 +278,16 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
         diagnostics["stages"].append({"unknowns": stage.unknowns, "rows": n_rows,
                                       "columns": total_cols, "residual": residual})
         for unknown, lo, cols in blocks:
-            contents[unknown] = _content_series(plan, unknown, solution[lo:lo + cols],
-                                                mode, period, window)
+            contents[unknown] = solution[lo:lo + cols]
 
-    components = _components_from_contents(plan, contents, mode, period, window)
-    if mode == "periodic":
-        top = max((c.cutoff for c in components), default=-1)
-        coeffs = np.zeros((plan.n, n_trig_coeffs(top)))
-        for c in components:
-            from .signals import pad_coeffs
-            coeffs += pad_coeffs(c.coeffs, top)
-        recovered: GraphSignal = PeriodicSignal(period=period, coeffs=coeffs)
-    else:
-        parts = []
-        for c in components:
-            parts.extend(c.parts)
-        recovered = CompositeSignal(n=plan.n, parts=parts)
+    # bases first, then levels ascending: summed in this order, ``recovered``
+    # equals the sum of ``components`` bit for bit
+    parts = [{u: c for u, c in contents.items() if u[0] == "base"}]
+    parts += [{u: contents[u]} for u in plan.unknowns if u[0] == "level"]
+    components = [assemble(plan, mode, domain, part) for part in parts]
+    recovered = assemble(plan, mode, domain, {u: c for part in parts for u, c in part.items()})
     return RecoveryResult(recovered=recovered, components=components,
                           per_level_contents=contents, diagnostics=diagnostics)
-
-
-def _components_from_contents(plan, contents, mode, period, window):
-    components = []
-    if mode == "periodic":
-        base = {u: (contents[u].coeffs if contents[u] is not None else np.zeros(0))
-                for u in contents if u[0] == "base"}
-        components.append(assemble_periodic(plan, period, base))
-        for spec in plan.levels:
-            series = contents.get(("level", spec.level))
-            coeffs = series.coeffs if series is not None else np.zeros(0)
-            components.append(assemble_periodic(plan, period, {("level", spec.level): coeffs}))
-        return components
-    base_series = [contents.get(("base", w)) for w in plan.base_vertices]
-    components.append(CompositeSignal(n=plan.n, parts=[(plan.base_extension, base_series)]))
-    for spec in plan.levels:
-        series = [None] * len(spec.v_set)
-        series[spec.col] = contents.get(("level", spec.level))
-        components.append(CompositeSignal(n=plan.n, parts=[(spec.extension, series)]))
-    return components
 
 
 # --- error measurement ------------------------------------------------------
@@ -353,13 +307,11 @@ def recovery_error(truth: GraphSignal, recovered: GraphSignal, mode: str,
 
     Periodic mode uses the closed form from the coefficients; sinc mode uses
     trapezoid quadrature on the inner half window at ``oversample`` times the
-    highest grid rate. Zero-norm references are reported as absolute errors
-    with a flag.
+    highest basis-block rate of the two signals. Zero-norm references are
+    reported as absolute errors with a flag.
     """
     out = {}
     if mode == "periodic":
-        from .signals import pad_coeffs
-
         top = max(truth.cutoff, recovered.cutoff)
         a = pad_coeffs(truth.coeffs, top)
         b = pad_coeffs(recovered.coeffs, top)
@@ -376,14 +328,15 @@ def recovery_error(truth: GraphSignal, recovered: GraphSignal, mode: str,
     t0, t1 = float(window[0]), float(window[1])
     span = t1 - t0
     lo, hi = t0 + span / 4.0, t1 - span / 4.0
-    rate = 2.0 * oversample
+    rate = 2.0 * float(max(truth.bands + recovered.bands, default=0))
     count = max(64, int((hi - lo) * rate * oversample))
     times = np.linspace(lo, hi, count)
+    ref_vals = truth.eval_all(times)
+    err_vals = ref_vals - recovered.eval_all(times)
+    refs = np.sqrt(np.trapezoid(ref_vals ** 2, times, axis=1))
+    errs = np.sqrt(np.trapezoid(err_vals ** 2, times, axis=1))
     for v in range(n):
-        ref_vals = truth.eval(v, times)
-        err_vals = ref_vals - recovered.eval(v, times)
-        ref = float(np.sqrt(np.trapezoid(ref_vals ** 2, times)))
-        err = float(np.sqrt(np.trapezoid(err_vals ** 2, times)))
+        ref, err = float(refs[v]), float(errs[v])
         if ref > 0:
             out[v] = {"error": err / ref, "relative": True}
         else:
@@ -395,19 +348,8 @@ def plan_roundtrip_ok(plan: SamplingPlan, spectrum: Spectrum, seed: int = 0,
                       tol: float = 1e-8) -> bool:
     """Cheap self-test: a random plan-parameterized signal survives the
     sample/recover round trip at the plan's least valid period."""
-    from .numerics import harmonic_cutoff, least_period, n_trig_coeffs
-    from .signals import assemble_periodic, pad_coeffs
-
     period = least_period([g.rate for g in plan.grids])
-    rng = np.random.default_rng(seed)
-    contents = {}
-    for w in plan.base_vertices:
-        contents[("base", w)] = rng.standard_normal(
-            n_trig_coeffs(harmonic_cutoff(plan.vertex_bw[w], period)))
-    for spec in plan.levels:
-        contents[("level", spec.level)] = rng.standard_normal(
-            n_trig_coeffs(harmonic_cutoff(spec.b, period)))
-    truth = assemble_periodic(plan, period, contents)
+    truth = assemble(plan, "periodic", period, draw_contents(plan, "periodic", period, seed))
     sset = build_sample_set(plan, "periodic", period)
     try:
         result = recover(sample_signal(truth, sset), plan, spectrum, sset)
@@ -429,35 +371,21 @@ def sampling_operator(plan: SamplingPlan, sample_set: SampleSet):
     deletions: a nontrivial null vector is a distinct signal in the space
     matching the remaining observations.
     """
-    mode, period, window = sample_set.mode, sample_set.period, sample_set.window
-    unknowns = [("base", w) for w in plan.base_vertices]
-    unknowns += [("level", spec.level) for spec in plan.levels]
-    blocks = []
-    total_cols = 0
-    for u in unknowns:
-        _, cols = _unknown_design(plan, u, np.zeros(0), mode, period, window)
-        blocks.append((u, total_cols, cols))
-        total_cols += cols
+    mode, domain = sample_set.mode, sample_set.domain
+    bases = _bases(plan, mode, domain)
+    blocks, total_cols = _layout(plan.unknowns, bases)
     rows = []
     row_meta = []
     for grid in sample_set.grids:
         times = np.array([float(t) for t in grid.times])
-        block_rows = np.zeros((len(times), total_cols))
-        for u, lo, cols in blocks:
-            scale = plan.visibility(u, grid.vertex)
-            if scale != 0.0 and cols:
-                design, _ = _unknown_design(plan, u, times, mode, period, window)
-                block_rows[:, lo:lo + cols] = scale * design
-        rows.append(block_rows)
+        rows.append(_design_rows(plan, blocks, total_cols, bases, grid.vertex, times))
         row_meta.extend((grid.grid_id, t) for t in grid.times)
     matrix = np.vstack(rows) if rows else np.zeros((0, total_cols))
     return matrix, blocks, row_meta
 
 
 def unknowns_to_signal(plan: SamplingPlan, blocks, vector: np.ndarray,
-                       period) -> PeriodicSignal:
+                       period) -> GraphSignal:
     """Interpret a coefficient vector of the sampling operator as a signal."""
-    contents = {}
-    for unknown, lo, cols in blocks:
-        contents[unknown] = vector[lo:lo + cols]
-    return assemble_periodic(plan, Fraction(period), contents)
+    contents = {unknown: vector[lo:lo + cols] for unknown, lo, cols in blocks}
+    return assemble(plan, "periodic", Fraction(period), contents)

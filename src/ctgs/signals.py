@@ -1,6 +1,9 @@
-"""Continuous-time graph signal models and synthesis.
+"""Continuous-time graph signals and their synthesis.
 
-Two realizations of band-limited vertex signals:
+Every signal of a plan's space is a sum of terms, one per unknown of the
+sampling plan: a vertex extension column times a scalar bandlimited series.
+One type, :class:`GraphSignal`, holds that sum as a coefficient matrix over
+shared scalar bases, in two realizations:
 
 * periodic — trigonometric polynomials on a period T whose harmonic
   frequencies sit strictly inside (-B, B). Reconstruction from 2BT uniform
@@ -18,7 +21,7 @@ the recovery pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -43,45 +46,6 @@ def trig_design(times: np.ndarray, cutoff: int, period: float) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-@dataclass(eq=False)
-class TrigSeries:
-    """Scalar trig polynomial: coeffs = [a0, a1, b1, ..., aK, bK]."""
-
-    period: Fraction
-    coeffs: np.ndarray
-
-    @property
-    def cutoff(self) -> int:
-        return (len(self.coeffs) - 1) // 2 if len(self.coeffs) else -1
-
-    def eval(self, times) -> np.ndarray:
-        return trig_design(np.atleast_1d(np.asarray(times, dtype=float)),
-                           self.cutoff, float(self.period)) @ self.coeffs
-
-
-@dataclass(eq=False)
-class SincSeries:
-    """Scalar truncated cardinal series at a uniform rate on a window."""
-
-    rate: Fraction
-    phase: Fraction
-    window: tuple
-    coeffs: np.ndarray
-    first_index: int
-
-    def node_times(self) -> np.ndarray:
-        idx = np.arange(self.first_index, self.first_index + len(self.coeffs))
-        return (idx + float(self.phase) * float(self.rate)) / float(self.rate)
-
-    def eval(self, times) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if len(self.coeffs) == 0:
-            return np.zeros_like(times)
-        args = float(self.rate) * (times[:, None] - float(self.phase)) - np.arange(
-            self.first_index, self.first_index + len(self.coeffs))[None, :]
-        return np.sinc(args) @ self.coeffs
-
-
 def sinc_indices(rate: Fraction, phase: Fraction, window) -> tuple:
     """Integer index range of a rate-``rate`` grid inside ``window``."""
     t0, t1 = Fraction(window[0]), Fraction(window[1])
@@ -90,59 +54,71 @@ def sinc_indices(rate: Fraction, phase: Fraction, window) -> tuple:
     return lo, hi
 
 
-def make_sinc_series(rate: Fraction, phase: Fraction, window, coeffs) -> SincSeries:
-    lo, hi = sinc_indices(rate, phase, window)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) != hi - lo + 1:
-        raise ValueError("coefficient count does not cover the window grid")
-    return SincSeries(rate=rate, phase=phase, window=(Fraction(window[0]), Fraction(window[1])),
-                      coeffs=coeffs, first_index=lo)
+def scalar_basis(mode: str, domain, bw) -> tuple:
+    """Width of the scalar basis that carries bandwidth-``bw`` content, and
+    its design map ``times -> len(times) x width``.
 
-
-class GraphSignal:
-    """Evaluation interface shared by all signal realizations."""
-
-    mode: str
-
-    def eval(self, vertex: int, times) -> np.ndarray:
-        raise NotImplementedError
+    Periodic: the trig polynomial [1, cos, sin, ...] with harmonics strictly
+    below ``bw`` on period ``domain``. Sinc: the rate-2bw cardinal series
+    whose nodes lie in the window ``domain``.
+    """
+    if mode == "periodic":
+        cutoff = harmonic_cutoff(bw, domain)
+        return n_trig_coeffs(cutoff), lambda times: trig_design(times, cutoff, float(domain))
+    rate = 2 * Fraction(bw)
+    lo, hi = sinc_indices(rate, Fraction(0), domain) if rate else (0, -1)
+    nodes = np.arange(lo, hi + 1)
+    return len(nodes), lambda times: np.sinc(float(rate) * np.asarray(times, float)[:, None]
+                                             - nodes[None, :])
 
 
 @dataclass(eq=False)
-class PeriodicSignal(GraphSignal):
-    """Coefficient-matrix form: one trig-coefficient row per vertex."""
+class GraphSignal:
+    """A sum of (extension column) x (scalar series) terms, one per unknown,
+    held as an n x P coefficient matrix over scalar basis blocks: one trig
+    block in periodic mode, one cardinal-series block per bandwidth in sinc
+    mode. ``bands`` lists each block's bandwidth in column order."""
 
-    period: Fraction
-    coeffs: np.ndarray  # n x (2K+1)
-    zero_space: bool = False
-    mode: str = field(default="periodic")
+    mode: str
+    domain: object            # period (periodic) or window (t0, t1) (sinc)
+    coeffs: np.ndarray        # n x P
+    bands: tuple
 
     @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
+    def zero_space(self) -> bool:
+        return not np.any(self.coeffs)
 
     @property
     def cutoff(self) -> int:
-        return (self.coeffs.shape[1] - 1) // 2 if self.coeffs.shape[1] else -1
+        """Top harmonic of the trig block (periodic mode)."""
+        return (self.coeffs.shape[1] - 1) // 2
+
+    def design(self, times) -> np.ndarray:
+        """len(times) x P evaluation matrix of the basis blocks."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        blocks = [scalar_basis(self.mode, self.domain, b)[1](times) for b in self.bands]
+        return np.hstack(blocks) if blocks else np.zeros((len(times), 0))
 
     def eval(self, vertex: int, times) -> np.ndarray:
-        return trig_design(np.atleast_1d(np.asarray(times, dtype=float)),
-                           self.cutoff, float(self.period)) @ self.coeffs[vertex]
+        return self.design(times) @ self.coeffs[vertex]
 
-    def vertex_series(self, vertex: int) -> TrigSeries:
-        return TrigSeries(period=self.period, coeffs=self.coeffs[vertex].copy())
+    def eval_all(self, times) -> np.ndarray:
+        """n x len(times) values; the basis is evaluated once for all vertices."""
+        design = self.design(times)
+        # one product per row keeps each row bit-identical to eval()
+        return np.stack([design @ row for row in self.coeffs])
 
-    def support_cutoff(self, vertex: int, tol: float = COEFF_TOL) -> int:
-        """Largest harmonic index carrying energy at ``vertex``."""
-        row = self.coeffs[vertex]
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        top = -1
-        for k in range(self.cutoff + 1):
-            lo = 0 if k == 0 else 2 * k - 1
-            hi = 1 if k == 0 else 2 * k + 1
-            if np.any(np.abs(row[lo:hi]) > tol * scale):
-                top = k
-        return top
+
+def PeriodicSignal(period, coeffs) -> GraphSignal:
+    """Periodic signal from its n x (2K+1) trig-coefficient matrix.
+
+    The one trig block is labelled with bandwidth (K+1)/T, the largest
+    whose harmonics (strictly below it) stop at K.
+    """
+    period = Fraction(period)
+    coeffs = np.asarray(coeffs, dtype=float)
+    return GraphSignal("periodic", period, coeffs,
+                       (Fraction((coeffs.shape[1] + 1) // 2) / period,))
 
 
 def pad_coeffs(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
@@ -151,26 +127,6 @@ def pad_coeffs(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
         return coeffs
     pad = [(0, 0)] * (coeffs.ndim - 1) + [(0, want - coeffs.shape[-1])]
     return np.pad(coeffs, pad)
-
-
-@dataclass(eq=False)
-class CompositeSignal(GraphSignal):
-    """Sum of extension-matrix images of scalar series (sinc-mode recovery)."""
-
-    n: int
-    parts: list  # (matrix n x m, [scalar series]*m)
-    mode: str = "sinc"
-    zero_space: bool = False
-
-    def eval(self, vertex: int, times) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.zeros_like(times)
-        for matrix, series_list in self.parts:
-            for col, series in enumerate(series_list):
-                w = matrix[vertex, col]
-                if w != 0.0 and series is not None:
-                    out += w * series.eval(times)
-        return out
 
 
 # --- coefficient-space oracle (periodic) ----------------------------------
@@ -202,7 +158,7 @@ def space_dimension(spectrum: Spectrum, profile: BandwidthProfile, period) -> in
     return dim
 
 
-def random_member(spectrum: Spectrum, profile: BandwidthProfile, period, seed) -> PeriodicSignal:
+def random_member(spectrum: Spectrum, profile: BandwidthProfile, period, seed) -> GraphSignal:
     """Uniform-ish random element of the constrained space (oracle sampler)."""
     period = Fraction(period)
     rng = np.random.default_rng(seed)
@@ -220,14 +176,13 @@ def random_member(spectrum: Spectrum, profile: BandwidthProfile, period, seed) -
         else:
             coeffs[active, 2 * k - 1] = basis @ rng.standard_normal(basis.shape[1])
             coeffs[active, 2 * k] = basis @ rng.standard_normal(basis.shape[1])
-    return PeriodicSignal(period=period, coeffs=coeffs,
-                          zero_space=not np.any(np.abs(coeffs) > 0))
+    return PeriodicSignal(period, coeffs)
 
 
 def membership_violations(spectrum: Spectrum, profile: BandwidthProfile,
-                          signal: PeriodicSignal, tol: float = COEFF_TOL) -> list:
+                          signal: GraphSignal, tol: float = COEFF_TOL) -> list:
     """Support checks: vertex rows within B, transformed rows within C."""
-    period = signal.period
+    period = signal.domain
     scale = max(1.0, float(np.max(np.abs(signal.coeffs))) if signal.coeffs.size else 1.0)
     bad = []
     for v, b in enumerate(profile.vertex_bw):
@@ -258,14 +213,33 @@ def verify_membership(spectrum, profile, signal, tol: float = COEFF_TOL) -> bool
 
 # --- synthesis -------------------------------------------------------------
 
-def _random_trig_coeffs(rng, cutoff: int, top_harmonic: bool = False) -> np.ndarray:
-    coeffs = rng.standard_normal(n_trig_coeffs(cutoff))
-    if top_harmonic and cutoff >= 0:
-        # guarantee energy at the top harmonic
-        idx = 0 if cutoff == 0 else 2 * cutoff - 1
-        if abs(coeffs[idx]) < 0.5:
-            coeffs[idx] = 1.0
-    return coeffs
+def draw_contents(plan: SamplingPlan, mode: str, domain, seed) -> dict:
+    """One standard-normal scalar content per plan unknown, drawn in plan order."""
+    rng = np.random.default_rng(seed)
+    return {u: rng.standard_normal(scalar_basis(mode, domain, plan.unknown_bandwidth(u))[0])
+            for u in plan.unknowns}
+
+
+def assemble(plan: SamplingPlan, mode: str, domain, contents: dict) -> GraphSignal:
+    """Sum the extension images of per-unknown scalar contents.
+
+    Periodic contents share the one trig block, shorter ones leaving its
+    top harmonics zero; sinc contents add into the block of their bandwidth.
+    """
+    bws = {u: plan.unknown_bandwidth(u) for u in contents}
+    if mode == "periodic":
+        # trig bases nest: one block of the top bandwidth holds every content
+        bands = (max(bws.values(), default=Fraction(0)),)
+        bws = dict.fromkeys(bws, bands[0])
+    else:
+        bands = tuple(sorted(set(bws.values())))
+    widths = [scalar_basis(mode, domain, b)[0] for b in bands]
+    offsets = dict(zip(bands, np.cumsum([0] + widths)))
+    coeffs = np.zeros((plan.n, sum(widths)))
+    for u, content in contents.items():
+        lo = offsets[bws[u]]
+        coeffs[:, lo:lo + len(content)] += np.outer(plan.extension_column(u), content)
+    return GraphSignal(mode, domain, coeffs, bands)
 
 
 def synthesize_signal(spectrum: Spectrum, profile: BandwidthProfile, seed,
@@ -281,66 +255,21 @@ def synthesize_signal(spectrum: Spectrum, profile: BandwidthProfile, seed,
 
     if plan is None:
         _, profile, filtration, sequence, plan = plan_problem(spectrum, profile)
-    rng = np.random.default_rng(seed)
-
     if mode == "periodic":
-        period = Fraction(period_or_window)
-        contents = {}
-        for w in plan.base_vertices:
-            contents[("base", w)] = _random_trig_coeffs(rng, harmonic_cutoff(profile.vertex_bw[w], period))
-        for spec in plan.levels:
-            contents[("level", spec.level)] = _random_trig_coeffs(rng, harmonic_cutoff(spec.b, period))
-        signal = assemble_periodic(plan, period, contents)
-        signal.zero_space = signal.coeffs.size == 0 or not np.any(signal.coeffs)
+        domain = Fraction(period_or_window)
+    elif mode == "sinc":
+        domain = (Fraction(period_or_window[0]), Fraction(period_or_window[1]))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    signal = assemble(plan, mode, domain, draw_contents(plan, mode, domain, seed))
+    if mode == "periodic":
         bad = membership_violations(spectrum, profile, signal)
         if bad:
             raise AssertionError(f"synthesized signal violates its own constraints: {bad}")
-        return signal
-
-    if mode == "sinc":
-        window = (Fraction(period_or_window[0]), Fraction(period_or_window[1]))
-        parts = []
-        base_series = []
-        for w in plan.base_vertices:
-            rate = 2 * Fraction(profile.vertex_bw[w])
-            if rate == 0:
-                base_series.append(None)
-                continue
-            lo, hi = sinc_indices(rate, Fraction(0), window)
-            base_series.append(make_sinc_series(rate, Fraction(0), window,
-                                                rng.standard_normal(hi - lo + 1)))
-        parts.append((plan.base_extension, base_series))
-        for spec in plan.levels:
-            rate = 2 * spec.b
-            series = [None] * len(spec.v_set)
-            if rate > 0:
-                lo, hi = sinc_indices(rate, Fraction(0), window)
-                series[spec.col] = make_sinc_series(rate, Fraction(0), window,
-                                                    rng.standard_normal(hi - lo + 1))
-            parts.append((spec.extension, series))
-        return CompositeSignal(n=spectrum.n, parts=parts)
-
-    raise ValueError(f"unknown mode {mode!r}")
+    return signal
 
 
-def assemble_periodic(plan: SamplingPlan, period: Fraction, contents: dict) -> PeriodicSignal:
-    """Sum the extension images of per-unknown trig contents."""
-    top = -1
-    for coeffs in contents.values():
-        top = max(top, (len(coeffs) - 1) // 2 if len(coeffs) else -1)
-    full = np.zeros((plan.n, n_trig_coeffs(top)))
-    for (kind, key), coeffs in contents.items():
-        padded = pad_coeffs(np.asarray(coeffs, dtype=float), top)
-        if kind == "base":
-            col = plan.base_col(key)
-            full += np.outer(plan.base_extension[:, col], padded)
-        else:
-            spec = plan.level_spec(key)
-            full += np.outer(spec.extension[:, spec.col], padded)
-    return PeriodicSignal(period=period, coeffs=full)
-
-
-def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period) -> PeriodicSignal:
+def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period) -> GraphSignal:
     """Signal whose peeled transform has support reaching the quotient bound.
 
     Construction from the tightness argument: full-bandwidth content at a
@@ -363,4 +292,4 @@ def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period
     m = extension_matrix(spectrum, step.lambda0, step.chosen_v0)
     col = step.chosen_v0.index(vstar)
     full = np.outer(m[:, col], coeffs)
-    return PeriodicSignal(period=period, coeffs=full)
+    return PeriodicSignal(period, full)

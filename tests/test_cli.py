@@ -1,4 +1,7 @@
 import json
+from fractions import Fraction
+
+import pytest
 
 import ctgs
 from ctgs import cli, reports
@@ -85,6 +88,27 @@ def test_negative_bandwidth_rejected(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = _run(capsys, ["plan", "--input", str(path)])
     assert code == 2
+
+
+def test_fraction_string_bandwidth_plans_like_float(tmp_path, capsys):
+    outs = []
+    for half in ("1/2", 0.5):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "B": [half, 3], "C": [0, "inf"]}))
+        code, out, _ = _run(capsys, ["plan", "--input", str(path)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert reports.parse_report(outs[0])["profile"]["B"][0] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "-1/2", "abc"])
+def test_bad_bandwidth_string_rejected(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "B": [3, bad], "C": [0, "inf"]}))
+    code, _, err = _run(capsys, ["plan", "--input", str(path)])
+    assert code == 2
+    assert json.loads(err)["error"]["pointer"] == "/B/1"
 
 
 def test_infeasible_exit_code(tmp_path, capsys):

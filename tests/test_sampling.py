@@ -249,6 +249,30 @@ def test_recovery_error_self_and_zero(worked_spectrum, worked_bundle):
     assert all(not e["relative"] for e in flagged.values())
 
 
+def test_sinc_error_quadrature_matches_dense_reference(worked_spectrum, worked_bundle):
+    """recovery_error's sinc quadrature, on a grid 32 times as dense as the
+    highest block rate, agrees with a 10x denser trapezoid rule."""
+    _, finite, _, _, plan = worked_bundle
+    window = (Fraction(-20), Fraction(20))
+    truth = ctgs.synthesize_signal(worked_spectrum, finite, 3, "sinc", window, plan=plan)
+    noise = 1e-3 * np.random.default_rng(0).standard_normal(truth.coeffs.shape)
+    perturbed = ctgs.GraphSignal("sinc", truth.domain, truth.coeffs + noise, truth.bands)
+    errors = ctgs.recovery_error(truth, perturbed, "sinc", window, 5)
+    # inner half window, ten times the density recovery_error uses
+    rate = 2 * float(max(truth.bands))
+    times = np.linspace(-10.0, 10.0, 10 * int(20.0 * rate * 32))
+    ref_sq, err_sq = [], []
+    for chunk in np.array_split(times, 20):
+        design = truth.design(chunk)   # both signals share the basis blocks
+        ref_sq.append((design @ truth.coeffs.T) ** 2)
+        err_sq.append((design @ noise.T) ** 2)
+    refs = np.sqrt(np.trapezoid(np.vstack(ref_sq), times, axis=0))
+    errs = np.sqrt(np.trapezoid(np.vstack(err_sq), times, axis=0))
+    for v in range(5):
+        assert errors[v]["relative"]
+        assert errors[v]["error"] == pytest.approx(errs[v] / refs[v], rel=1e-6)
+
+
 def test_roundtrip_small_random():
     for spectrum, profile, bundle in plannable_instances(master_seed=404, count=10):
         _, finite, filtration, seq, plan = bundle

@@ -98,7 +98,8 @@ def test_quotient_witness_random_instances():
 
 
 def test_sinc_series_interpolates_nodes():
-    series = ctgs.signals.make_sinc_series(Fraction(2), Fraction(0), (-4, 4),
-                                           np.arange(17, dtype=float))
-    nodes = series.node_times()
-    assert np.allclose(series.eval(nodes), series.coeffs, atol=1e-12)
+    # one rate-2 cardinal block on [-4, 4]: nodes at -4, -3.5, ..., 4
+    series = ctgs.GraphSignal("sinc", (Fraction(-4), Fraction(4)),
+                              np.arange(17, dtype=float)[None, :], (Fraction(1),))
+    nodes = np.arange(-8, 9) / 2.0
+    assert np.allclose(series.eval(0, nodes), series.coeffs[0], atol=1e-12)
