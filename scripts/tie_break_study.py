@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 import ctgs
-from ctgs.dependence import enumerate_uniqueness_sets, x_support, x_vector
 from ctgs.numerics import INF, is_inf
+from ctgs.planner import quotient_bound
 
 
 def tied_minima(freq_bw):
@@ -26,31 +26,27 @@ def tied_minima(freq_bw):
     return [i for c, i in finite if c == low]
 
 
-def quotient_bound(spectrum, profile, lam):
-    lam0 = profile.lambda0()
-    best = None
-    for cand in enumerate_uniqueness_sets(spectrum, lam0):
-        x = x_vector(spectrum, lam0, cand, lam)
-        support = x_support(x)
-        bound = max(Fraction(profile.vertex_bw[v])
-                    for v, hit in zip(cand.vertices, support) if hit)
-        if best is None or bound < best:
-            best = bound
-    return min(best, Fraction(profile.freq_bw[lam]))
+def all_path_totals(spectrum, profile, memo=None):
+    """Set of 2*(base + sum of quotient bounds) over all tie paths.
 
-
-def all_path_totals(spectrum, profile):
-    """Set of 2*(base + sum of quotient bounds) over all tie paths."""
+    Paths that peel the same frequencies in another order meet at the same
+    child profile, so totals are memoized by frequency bounds.
+    """
+    memo = {} if memo is None else memo
+    if profile.freq_bw in memo:
+        return memo[profile.freq_bw]
     choices = tied_minima(profile.freq_bw)
     if not choices:
         lam0 = profile.lambda0()
-        _, base_rate = ctgs.minimal_rate_bruteforce(spectrum, lam0, profile.vertex_bw)
-        return {base_rate}
-    totals = set()
-    for lam in choices:
-        b = quotient_bound(spectrum, profile, lam)
-        child = profile.with_freq_zeroed(lam)
-        totals |= {t + 2 * b for t in all_path_totals(spectrum, child)}
+        _, base_rate = ctgs.greedy_minimal_vertex_set(spectrum, lam0, profile.vertex_bw)
+        totals = {base_rate}
+    else:
+        totals = set()
+        for lam in choices:
+            b, _, _ = quotient_bound(spectrum, profile, lam)
+            child = profile.with_freq_zeroed(lam)
+            totals |= {t + 2 * b for t in all_path_totals(spectrum, child, memo)}
+    memo[profile.freq_bw] = totals
     return totals
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .dependence import enumerate_uniqueness_sets, is_dependent
@@ -13,7 +12,6 @@ from .numerics import INF, as_bandwidth, bandwidth_to_json, is_inf, svd_rank
 from .spectral import Spectrum
 
 TIGHTEN_GUARD = 12
-UNIFORM_EXHAUSTIVE_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -92,14 +90,27 @@ def _replacement_bound(profile: BandwidthProfile, v_inf, freqs) -> object:
     return max(parts) if parts else Fraction(0)
 
 
+def _greedy_rows(spectrum: Spectrum, freqs, v_inf) -> list:
+    """Frequencies kept by one greedy rank pass over ``freqs`` in the order given."""
+    chosen: list = []
+    for f in freqs:
+        if len(chosen) == len(v_inf):
+            break
+        if svd_rank(spectrum.submatrix(chosen + [f], v_inf)) > len(chosen):
+            chosen.append(f)
+    return chosen
+
+
 def check_uniform(spectrum: Spectrum, profile: BandwidthProfile) -> UniformityCertificate:
     """Decide whether every signal in the space has uniformly finite bandwidth.
 
     With infinite vertex bounds present, uniformity holds iff some subset of
     finite-bound frequencies of matching size has an invertible eigenrow
-    block over those vertices. The exhaustive search below also minimizes
-    the finitization bound (ties broken lexicographically); past the guard
-    size it falls back to greedy rank building with the coarse bound.
+    block over those vertices. These subsets are the bases of a matroid, so
+    two greedy rank passes settle the rest: one in ascending (bound, index)
+    order gives the least finitization bound (a bottleneck basis), and one
+    in index order over the frequencies whose bound stays within it gives
+    the lexicographically first witness attaining that bound.
     """
     validate_profile(spectrum, profile)
     v_inf = tuple(v for v, b in enumerate(profile.vertex_bw) if is_inf(b))
@@ -108,38 +119,14 @@ def check_uniform(spectrum: Spectrum, profile: BandwidthProfile) -> UniformityCe
         return UniformityCertificate(True, (), None, finite_max)
 
     finite_freqs = [f for f, c in enumerate(profile.freq_bw) if not is_inf(c)]
-    k = len(v_inf)
-    if len(finite_freqs) < k:
+    cheapest = _greedy_rows(spectrum, sorted(finite_freqs, key=lambda f: (profile.freq_bw[f], f)),
+                            v_inf)
+    if len(cheapest) < len(v_inf):
         return UniformityCertificate(False, v_inf, None, INF)
-
-    if k <= UNIFORM_EXHAUSTIVE_GUARD:
-        best = None
-        for cand in combinations(finite_freqs, k):
-            block = spectrum.submatrix(cand, v_inf)
-            if svd_rank(block) == k:
-                bound = _replacement_bound(profile, set(v_inf), cand)
-                if best is None or bound < best[0]:
-                    best = (bound, cand)
-        if best is None:
-            return UniformityCertificate(False, v_inf, None, INF)
-        return UniformityCertificate(True, v_inf, best[1], best[0])
-
-    # Greedy fallback: build rank one frequency at a time, coarse bound.
-    chosen: list = []
-    rank = 0
-    for f in sorted(finite_freqs, key=lambda f: (profile.freq_bw[f], f)):
-        trial = chosen + [f]
-        new_rank = svd_rank(spectrum.submatrix(trial, v_inf))
-        if new_rank > rank:
-            chosen = trial
-            rank = new_rank
-        if rank == k:
-            break
-    if rank != k:
-        return UniformityCertificate(False, v_inf, None, INF)
-    finite_b = [profile.vertex_bw[v] for v in range(profile.n_vertices) if v not in set(v_inf)]
-    coarse = max(list(finite_b) + [profile.freq_bw[f] for f in finite_freqs])
-    return UniformityCertificate(True, v_inf, tuple(sorted(chosen)), coarse)
+    bound = _replacement_bound(profile, set(v_inf), cheapest)
+    witness = _greedy_rows(spectrum, [f for f in finite_freqs if profile.freq_bw[f] <= bound],
+                           v_inf)
+    return UniformityCertificate(True, v_inf, tuple(witness), bound)
 
 
 def finitize(spectrum: Spectrum, profile: BandwidthProfile,

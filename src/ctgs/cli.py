@@ -19,8 +19,8 @@ from .sampling import (
     eccentricity,
     prop_bound_eccentricity,
     recover,
+    realize_spread,
     recovery_error,
-    redistribute,
     sample_rate,
     sample_signal,
 )
@@ -219,12 +219,13 @@ def _cmd_redistribute(problem, args):
     spectrum, cert, finite, filtration, seq, plan = _plan_bundle(problem, tolerance)
     labels = problem.graph.vertex_labels
     lam00 = plan.base_lambda0
-    spread_grids, _ = choose_spread(spectrum, lam00, finite.vertex_bw,
-                                    plan.base_vertices, v_star)
+    # the one spread computation of this command: both the sample-set view
+    # and the full plan below use it
+    chosen = choose_spread(spectrum, lam00, finite.vertex_bw, plan.base_vertices, v_star)
     if mode == "periodic":
         per = period if period is not None else least_period(
             [2 * Fraction(finite.vertex_bw[v]) for v in plan.base_vertices]
-            + [g.rate for g in spread_grids])
+            + [g.rate for g in chosen[0]])
         domain = per
     else:
         domain = window if window is not None else (Fraction(-20), Fraction(20))
@@ -232,10 +233,10 @@ def _cmd_redistribute(problem, args):
     base_only = type(base_set)(n=base_set.n, mode=base_set.mode, period=base_set.period,
                                window=base_set.window,
                                grids=tuple(g for g in base_set.grids if g.grid_id.startswith("base")))
-    spread = redistribute(spectrum, lam00, finite.vertex_bw, plan.base_vertices, v_star, base_only)
+    spread = realize_spread(chosen[0], base_only)
     sorted_bw = sorted(Fraction(finite.vertex_bw[v]) for v in plan.base_vertices)
     bound = prop_bound_eccentricity(plan.n, sorted_bw, len(v_star), sample_rate(base_only))
-    spread_plan = redistribute_plan(plan, spectrum, v_star)
+    spread_plan = redistribute_plan(plan, spectrum, v_star, spread=chosen)
     report = {
         "command": "redistribute",
         "labels": list(labels),

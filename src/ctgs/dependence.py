@@ -43,12 +43,22 @@ def is_dependent(spectrum: Spectrum, lambda0: Sequence[int], vset: Sequence[int]
         raise ValueError(f"vertex {v} is a member of the candidate set")
     if not 0 <= v < spectrum.n:
         raise IndexError(f"vertex {v} out of range")
+    return bool(dependent_mask(spectrum, lambda0, vset)[v])
+
+
+def dependent_mask(spectrum: Spectrum, lambda0: Sequence[int], vset: Sequence[int]) -> np.ndarray:
+    """Boolean mask over all vertices of the lambda0-closure of ``vset``.
+
+    One null space over the complement of ``vset`` decides every vertex at
+    once, with the same verdict :func:`is_dependent` gives; members of
+    ``vset`` are marked dependent on it.
+    """
     comp = _complement(spectrum.n, vset)
+    mask = np.ones(spectrum.n, dtype=bool)
     basis = null_space(spectrum.submatrix(lambda0, comp))
-    if basis.shape[1] == 0:
-        return True
-    row = comp.index(v)
-    return float(np.linalg.norm(basis[row, :])) <= COMPONENT_TOL
+    if basis.shape[1]:
+        mask[comp] = np.linalg.norm(basis, axis=1) <= COMPONENT_TOL
+    return mask
 
 
 def is_uniqueness_set(spectrum: Spectrum, lambda0: Sequence[int], vset: Sequence[int]) -> bool:

@@ -19,12 +19,12 @@ import numpy as np
 
 from .bandwidth import BandwidthProfile, validate_profile
 from .dependence import (
+    dependent_mask,
     enumerate_uniqueness_sets,
     extension_matrix,
     greedy_minimal_vertex_set,
     is_dependent,
     is_uniqueness_set,
-    minimal_rate_bruteforce,
     x_support,
     x_vector,
 )
@@ -93,12 +93,31 @@ class Filtration:
         return tuple(step.lambda_star for step in self.steps)
 
 
+def quotient_bound(spectrum: Spectrum, profile: BandwidthProfile, lambda_star: int):
+    """Quotient bound exposed by peeling ``lambda_star``: (b, basis, x-vector).
+
+    The bound is the minimum over all uniqueness sets of the largest vertex
+    bound that actually contributes to the peeled transform, capped by the
+    peeled frequency's own bound. The greedy minimal-rate basis attains it:
+    its prefixes span every threshold set {v : B_v <= b}, so its x-vector is
+    supported on the smallest threshold set whose span reaches the peeled
+    transform (Edmonds' greedy theorem on the dependence matroid).
+    """
+    lambda0 = profile.lambda0()
+    basis, _ = greedy_minimal_vertex_set(spectrum, lambda0, profile.vertex_bw)
+    x = x_vector(spectrum, lambda0, basis, lambda_star)
+    support = x_support(x)
+    if not support.any():
+        raise AssertionError("transform vector vanished entirely; numerical breakdown")
+    bound = max(Fraction(profile.vertex_bw[v]) for v, hit in zip(basis.vertices, support) if hit)
+    return min(bound, Fraction(profile.freq_bw[lambda_star])), basis, x
+
+
 def reduction_step(spectrum: Spectrum, profile: BandwidthProfile, level: int = 0) -> ReductionStep:
     """Peel the smallest positive finite frequency bound from ``profile``.
 
-    The quotient bound is the minimum over all uniqueness sets of the
-    largest vertex bound that actually contributes to the peeled transform,
-    capped by the peeled frequency's own bound.
+    ``chosen_v0`` is the greedy minimal-rate basis that attains the
+    quotient bound (see :func:`quotient_bound`).
     """
     validate_profile(spectrum, profile)
     if not profile.all_vertex_finite():
@@ -106,23 +125,9 @@ def reduction_step(spectrum: Spectrum, profile: BandwidthProfile, level: int = 0
     lam = select_lambda_star(profile.freq_bw)
     if lam is None:
         raise InfeasibleProblemError("frequency bandwidths are already simple; nothing to reduce")
-    lambda0 = profile.lambda0()
-    candidates = enumerate_uniqueness_sets(spectrum, lambda0)
-    if not candidates:
-        raise InfeasibleProblemError("no uniqueness set; constraints inconsistent")
-    best = None
-    for cand in candidates:
-        x = x_vector(spectrum, lambda0, cand, lam)
-        support = x_support(x)
-        if not support.any():
-            raise AssertionError("transform vector vanished entirely; numerical breakdown")
-        bound = max(Fraction(profile.vertex_bw[v]) for v, hit in zip(cand.vertices, support) if hit)
-        if best is None or bound < best[0]:
-            best = (bound, cand, x)
-    bound, chosen, x = best
-    b_star = min(bound, Fraction(profile.freq_bw[lam]))
+    b_star, chosen, x = quotient_bound(spectrum, profile, lam)
     child = profile.with_freq_zeroed(lam)
-    return ReductionStep(level=level, lambda_star=lam, b_star=b_star, lambda0=lambda0,
+    return ReductionStep(level=level, lambda_star=lam, b_star=b_star, lambda0=profile.lambda0(),
                          chosen_v0=chosen.vertices, x_vec=x, child_freq_bw=child.freq_bw)
 
 
@@ -171,19 +176,18 @@ def _x_at(spectrum, lambda0, vset, lambda_star, vertex) -> float:
 
 
 def _outside_bw_ok(spectrum, vertex_bw, lambda0, v_prev, v_cur, b) -> bool:
-    for w in range(spectrum.n):
-        if w in v_cur:
-            continue
-        if not is_dependent(spectrum, lambda0, v_prev, w) and Fraction(vertex_bw[w]) < b:
-            return False
-    return True
+    dependent = dependent_mask(spectrum, lambda0, v_prev)
+    return all(dependent[w] or Fraction(vertex_bw[w]) >= b
+               for w in range(spectrum.n) if w not in v_cur)
 
 
 def verify_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
                                filtration: Filtration, seq: AdmissibleSequence) -> list:
     """Full re-check of the admissibility conditions; returns failure strings.
 
-    Written independently of the search so it can serve as its oracle.
+    Written independently of the search so it can serve as its oracle;
+    level-0 minimality is measured against the greedy minimal rate, which
+    the test suite pins to the brute-force oracle.
     """
     problems = []
     k = filtration.depth
@@ -195,7 +199,7 @@ def verify_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
     if not is_uniqueness_set(spectrum, lam00, v0):
         problems.append("level-0 set is not a uniqueness set")
     else:
-        _, best_rate = minimal_rate_bruteforce(spectrum, lam00, bw)
+        _, best_rate = greedy_minimal_vertex_set(spectrum, lam00, bw)
         have = 2 * sum((Fraction(bw[v]) for v in v0), Fraction(0))
         if have != best_rate:
             problems.append(f"level-0 set rate {have} is not minimal ({best_rate})")
@@ -263,7 +267,7 @@ def _greedy_sequence(spectrum, profile, filtration) -> Optional[AdmissibleSequen
 
 def _backtrack_sequence(spectrum, profile, filtration) -> Optional[AdmissibleSequence]:
     lam00 = filtration.levels[0].lambda0
-    _, best_rate = minimal_rate_bruteforce(spectrum, lam00, profile.vertex_bw)
+    _, best_rate = greedy_minimal_vertex_set(spectrum, lam00, profile.vertex_bw)
     minimal_sets = [
         cand.vertices for cand in enumerate_uniqueness_sets(spectrum, lam00)
         if 2 * sum((Fraction(profile.vertex_bw[v]) for v in cand.vertices), Fraction(0)) == best_rate
@@ -444,6 +448,7 @@ def _compute_stages(plan: SamplingPlan) -> tuple:
         stages.append(Stage(unknowns=(("level", spec.level),),
                             grid_ids=tuple(level_grid_ids.get(spec.level, ()))))
 
+    vertex_of = {g.grid_id: g.vertex for g in plan.grids}
     changed = True
     while changed:
         changed = False
@@ -452,7 +457,7 @@ def _compute_stages(plan: SamplingPlan) -> tuple:
             members = set(stage.unknowns)
             contaminating = set()
             for gid in stage.grid_ids:
-                vertex = plan.grid(gid).vertex
+                vertex = vertex_of[gid]
                 for other in range(idx + 1, len(stages)):
                     for unk in stages[other].unknowns:
                         if unk in members or unk in solved:
@@ -842,43 +847,44 @@ def choose_spread(spectrum, lambda0, vertex_bw, v0, v_star):
     return _ranked_spreads(spectrum, lambda0, vertex_bw, v0, v_star)[0]
 
 
-def _spread_candidates(plan: SamplingPlan, spectrum: Spectrum, v_star: Sequence[int]) -> list:
-    """Both spread constructions as full plans, lowest eccentricity first."""
-    options = _ranked_spreads(spectrum, plan.base_lambda0, plan.vertex_bw,
-                              plan.base_vertices, v_star)
+def _spread_plan(plan: SamplingPlan, spread, v_star: Sequence[int]) -> SamplingPlan:
+    """``plan`` with its base grids replaced by one spread construction."""
+    spread_grids, base_stages = spread
     kept = [g for g in plan.grids if not g.grid_id.startswith("base")]
-    candidates = []
-    for spread_grids, base_stages in options:
-        placed = _place_spread_grids(spread_grids, kept)
-        candidate = SamplingPlan(
-            vertex_bw=plan.vertex_bw,
-            base_vertices=plan.base_vertices,
-            base_lambda0=plan.base_lambda0,
-            base_extension=plan.base_extension,
-            levels=plan.levels,
-            grids=tuple(kept + placed),
-            base_stages=tuple(base_stages),
-            notes=plan.notes + (f"base load spread over {tuple(sorted(set(v_star)))}",),
-        )
-        if candidate.total_rate != plan.total_rate:
-            raise AssertionError("redistribution changed the total rate")
-        candidates.append(_with_stages(candidate))
-    return candidates
+    candidate = SamplingPlan(
+        vertex_bw=plan.vertex_bw,
+        base_vertices=plan.base_vertices,
+        base_lambda0=plan.base_lambda0,
+        base_extension=plan.base_extension,
+        levels=plan.levels,
+        grids=tuple(kept + _place_spread_grids(spread_grids, kept)),
+        base_stages=tuple(base_stages),
+        notes=plan.notes + (f"base load spread over {tuple(sorted(set(v_star)))}",),
+    )
+    if candidate.total_rate != plan.total_rate:
+        raise AssertionError("redistribution changed the total rate")
+    return _with_stages(candidate)
 
 
-def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum, v_star: Sequence[int]) -> SamplingPlan:
+def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum, v_star: Sequence[int],
+                      spread=None) -> SamplingPlan:
     """Spread the base sampling load over ``v_star`` without changing the rate.
 
     With quotient levels present, spread carriers observe quotient content
-    too, which can starve a construction of information; each candidate is
-    therefore verified by an actual periodic round trip before being
-    returned, best eccentricity first.
+    too, which can starve a construction of information; each construction
+    is therefore verified by an actual periodic round trip before being
+    returned, best eccentricity first, and the other one is built only when
+    the best fails. ``spread`` is the best construction, as
+    :func:`choose_spread` returns it, for a caller that already has it.
     """
     from .sampling import plan_roundtrip_ok
 
-    candidates = _spread_candidates(plan, spectrum, v_star)
-    for candidate in candidates:
-        if plan_roundtrip_ok(candidate, spectrum):
-            return candidate
+    args = (spectrum, plan.base_lambda0, plan.vertex_bw, plan.base_vertices, v_star)
+    candidate = _spread_plan(plan, choose_spread(*args) if spread is None else spread, v_star)
+    if plan_roundtrip_ok(candidate, spectrum):
+        return candidate
+    candidate = _spread_plan(plan, _ranked_spreads(*args)[1], v_star)
+    if plan_roundtrip_ok(candidate, spectrum):
+        return candidate
     raise ProblemFormatError(
         "spreading the base load over this set breaks recoverability of the full plan")

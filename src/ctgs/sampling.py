@@ -23,6 +23,10 @@ from .spectral import Spectrum
 
 RESIDUAL_TOL = 1e-6
 
+# Time points per signal evaluation in sinc-mode error quadrature; bounds
+# the memory of the times x columns cardinal-series design.
+QUADRATURE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class RealizedGrid:
@@ -128,6 +132,12 @@ def redistribute(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence
             raise ProblemFormatError(
                 f"grid at vertex {w} has rate {grid.rate}, expected 2*{vertex_bw[w]}")
     spread_grids, _ = choose_spread(spectrum, lambda0, vertex_bw, v0, v_star)
+    return realize_spread(spread_grids, sample_set)
+
+
+def realize_spread(spread_grids, sample_set: SampleSet) -> SampleSet:
+    """Place a spread construction's grids (see ``planner.choose_spread``) and
+    realize them on ``sample_set``'s domain; the sample rate must not change."""
     grids = []
     for g in _place_spread_grids(spread_grids, ()):
         if sample_set.mode == "periodic":
@@ -307,8 +317,9 @@ def recovery_error(truth: GraphSignal, recovered: GraphSignal, mode: str,
 
     Periodic mode uses the closed form from the coefficients; sinc mode uses
     trapezoid quadrature on the inner half window at ``oversample`` times the
-    highest basis-block rate of the two signals. Zero-norm references are
-    reported as absolute errors with a flag.
+    highest basis-block rate of the two signals, evaluated in blocks of
+    ``QUADRATURE_BLOCK`` time points. Zero-norm references are reported as
+    absolute errors with a flag.
     """
     out = {}
     if mode == "periodic":
@@ -331,10 +342,17 @@ def recovery_error(truth: GraphSignal, recovered: GraphSignal, mode: str,
     rate = 2.0 * float(max(truth.bands + recovered.bands, default=0))
     count = max(64, int((hi - lo) * rate * oversample))
     times = np.linspace(lo, hi, count)
-    ref_vals = truth.eval_all(times)
-    err_vals = ref_vals - recovered.eval_all(times)
-    refs = np.sqrt(np.trapezoid(ref_vals ** 2, times, axis=1))
-    errs = np.sqrt(np.trapezoid(err_vals ** 2, times, axis=1))
+    ref_sq = np.zeros(truth.coeffs.shape[0])
+    err_sq = np.zeros(truth.coeffs.shape[0])
+    # consecutive blocks share their boundary sample, so the block sums add
+    # up to the trapezoid rule over the whole grid
+    for start in range(0, count - 1, QUADRATURE_BLOCK - 1):
+        block = times[start:start + QUADRATURE_BLOCK]
+        ref_vals = truth.eval_all(block)
+        err_vals = ref_vals - recovered.eval_all(block)
+        ref_sq += np.trapezoid(ref_vals ** 2, block, axis=1)
+        err_sq += np.trapezoid(err_vals ** 2, block, axis=1)
+    refs, errs = np.sqrt(ref_sq), np.sqrt(err_sq)
     for v in range(n):
         ref, err = float(refs[v]), float(errs[v])
         if ref > 0:

@@ -1,10 +1,12 @@
-"""Shared generators for randomized suites."""
+"""Shared generators and brute-force oracles for randomized suites."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 import ctgs
+from ctgs.dependence import x_support
 
 B_POOL = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
           Fraction(5, 2), Fraction(3), Fraction(4), Fraction(5)]
@@ -29,8 +31,12 @@ def random_connected_graph(rng, n):
     return ctgs.GraphModel.create(n, edges)
 
 
-def random_spectrum(rng, n):
+def random_spectrum(rng, n, unit_weights=False):
+    """Laplacian spectrum of a random connected graph. Unit weights give
+    eigenvectors with exact zeros, so x-vectors lose support entries."""
     graph = random_connected_graph(rng, n)
+    if unit_weights:
+        graph = ctgs.GraphModel.create(n, [[i, j] for i, j, _ in graph.edges])
     return ctgs.eigendecompose(ctgs.build_shift_operator(graph, "laplacian"))
 
 
@@ -80,3 +86,37 @@ def independence(spectrum, lambda0, vset):
         not ctgs.is_dependent(spectrum, lambda0, [u for u in vset if u != v], v)
         for v in vset
     )
+
+
+def quotient_bound_bruteforce(spectrum, profile, lambda_star):
+    """Oracle for the quotient bound: the minimum over every uniqueness set
+    of the largest vertex bound on the support of its x-vector, capped by
+    the peeled frequency's own bound."""
+    lam0 = profile.lambda0()
+    best = None
+    for cand in ctgs.enumerate_uniqueness_sets(spectrum, lam0):
+        support = x_support(ctgs.x_vector(spectrum, lam0, cand, lambda_star))
+        bound = max(Fraction(profile.vertex_bw[v])
+                    for v, hit in zip(cand.vertices, support) if hit)
+        if best is None or bound < best:
+            best = bound
+    return min(best, Fraction(profile.freq_bw[lambda_star]))
+
+
+def check_uniform_exhaustive(spectrum, profile):
+    """Oracle for the uniformity test with infinite vertex bounds:
+    (is_uniform, witness frequencies, bound). Every frequency subset of
+    matching size is tried in lexicographic order; the first one with an
+    invertible block and the least finitization bound wins."""
+    v_inf = [v for v, b in enumerate(profile.vertex_bw) if ctgs.numerics.is_inf(b)]
+    finite_b = [b for b in profile.vertex_bw if not ctgs.numerics.is_inf(b)]
+    finite_freqs = [f for f, c in enumerate(profile.freq_bw) if not ctgs.numerics.is_inf(c)]
+    best = None
+    for cand in combinations(finite_freqs, len(v_inf)):
+        if ctgs.numerics.svd_rank(spectrum.submatrix(cand, v_inf)) == len(v_inf):
+            bound = max(finite_b + [profile.freq_bw[f] for f in cand])
+            if best is None or bound < best[1]:
+                best = (cand, bound)
+    if best is None:
+        return False, None, ctgs.INF
+    return True, best[0], best[1]

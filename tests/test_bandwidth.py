@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ctgs
 from ctgs.numerics import INF
 
-from helpers import random_profile, random_spectrum
+from helpers import check_uniform_exhaustive, random_profile, random_spectrum
 
 LAM0_W0 = (0, 1, 2)
 
@@ -34,6 +34,26 @@ def test_uniform_with_infinite_vertices(two_path_spectrum):
 def test_not_uniform_single_finite_row(two_path_spectrum):
     cert = ctgs.check_uniform(two_path_spectrum, _profile(["inf", "inf"], [0, "inf"]))
     assert not cert.is_uniform
+
+
+def test_check_uniform_matches_exhaustive_oracle():
+    """Verdict, witness frequencies and bound agree with the exhaustive
+    search on 200 random instances with infinite vertex bounds."""
+    rng = np.random.default_rng(4242)
+    uniform = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        spectrum = random_spectrum(rng, n)
+        drawn = random_profile(rng, n)
+        v_inf = set(rng.choice(n, size=int(rng.integers(1, n // 2 + 2)), replace=False).tolist())
+        profile = ctgs.BandwidthProfile(
+            tuple(INF if v in v_inf else b for v, b in enumerate(drawn.vertex_bw)),
+            drawn.freq_bw)
+        cert = ctgs.check_uniform(spectrum, profile)
+        assert (cert.is_uniform, cert.witness_freqs, cert.bound) \
+            == check_uniform_exhaustive(spectrum, profile)
+        uniform += cert.is_uniform
+    assert uniform >= 50
 
 
 def test_finitize_identity_on_finite(worked_spectrum, worked_profile):

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ctgs
@@ -70,6 +71,36 @@ def test_redistribute_command(worked_problem_file, capsys):
     assert report["after"]["rates"] == {"v2": 4, "v3": 2, "v4": 4}
     assert report["after"]["eccentricity"] == 2
     assert report["after"]["rate"] == 10
+
+
+def test_redistribute_computes_one_spread(worked_problem_file, capsys, monkeypatch):
+    calls = []
+    original = ctgs.planner.choose_spread
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (ctgs.planner, ctgs.sampling, cli):
+        monkeypatch.setattr(module, "choose_spread", counted)
+    code, _, _ = _run(capsys, ["redistribute", "--input", worked_problem_file,
+                               "--vstar", "v2,v3,v4"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_plan_n40_problem(tmp_path, capsys):
+    rng = np.random.default_rng(40)
+    edges = [[int(rng.integers(0, v)), v, float(rng.uniform(0.5, 2.0))] for v in range(1, 40)]
+    b_pool, c_pool = (0.5, 1, 1.5, 2, 3), (0, 1, 2, 3, "inf", "inf")
+    doc = {"n": 40, "edges": edges,
+           "B": [b_pool[int(rng.integers(0, len(b_pool)))] for _ in range(40)],
+           "C": [c_pool[int(rng.integers(0, len(c_pool)))] for _ in range(40)]}
+    path = tmp_path / "n40.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["plan", "--input", str(path)])
+    assert code == 0, err
+    assert reports.parse_report(out)["filtration"]["k"] > 0
 
 
 def test_validation_exit_code(tmp_path, capsys):

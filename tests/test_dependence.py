@@ -100,6 +100,27 @@ def test_greedy_matches_bruteforce_oracle():
         assert greedy_rate == oracle_rate
 
 
+def test_dependent_mask_matches_rank_definition():
+    """v depends on V' iff dropping v's column from the eigenrow block over
+    the complement of V' lowers its rank; members of V' are marked too."""
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        n = int(rng.integers(2, 8))
+        spectrum = random_spectrum(rng, n)
+        lam0 = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist()))
+        vset = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist()))
+        mask = ctgs.dependence.dependent_mask(spectrum, lam0, vset)
+        comp = [v for v in range(n) if v not in vset]
+        rank = ctgs.numerics.svd_rank(spectrum.submatrix(lam0, comp))
+        for v in range(n):
+            if v in vset:
+                assert mask[v]
+                continue
+            rest = [u for u in comp if u != v]
+            drop = rank - ctgs.numerics.svd_rank(spectrum.submatrix(lam0, rest))
+            assert mask[v] == (drop == 1)
+
+
 def test_extension_two_path(two_path_spectrum):
     m = ctgs.extension_matrix(two_path_spectrum, (0,), (0,))
     assert np.allclose(m, np.array([[1.0], [-1.0]]))

@@ -1,11 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ctgs
-from ctgs.numerics import INF
+from ctgs.numerics import INF, least_period
 
-from helpers import plannable_instances
+from helpers import (
+    plannable_instances,
+    quotient_bound_bruteforce,
+    random_profile,
+    random_spectrum,
+)
 
 LAM0_W0 = (0, 1, 2)
 
@@ -63,6 +69,26 @@ def test_reduction_third_step(worked_spectrum, worked_profile):
     support = [v for v, x in zip(step.chosen_v0, step.x_vec) if abs(x) > 1e-8]
     bw = worked_profile.vertex_bw
     assert max(bw[v] for v in support) == 4
+
+
+def test_quotient_bound_matches_bruteforce_oracle():
+    """At every level of 200 random filtrations with n <= 8, the greedy
+    basis attains the quotient bound the enumeration of uniqueness sets finds.
+    Half the graphs have unit weights, where x-vectors lose support entries."""
+    rng = np.random.default_rng(2718)
+    checked = 0
+    while checked < 200:
+        n = int(rng.integers(2, 9))
+        spectrum = random_spectrum(rng, n, unit_weights=checked % 2 == 0)
+        current = random_profile(rng, n)
+        if ctgs.select_lambda_star(current.freq_bw) is None:
+            continue
+        while (lam := ctgs.select_lambda_star(current.freq_bw)) is not None:
+            step = ctgs.reduction_step(spectrum, current)
+            assert step.b_star == quotient_bound_bruteforce(spectrum, current, lam)
+            assert ctgs.is_uniqueness_set(spectrum, step.lambda0, step.chosen_v0)
+            current = current.with_freq_zeroed(lam)
+        checked += 1
 
 
 def test_worked_filtration(worked_spectrum, worked_bundle):
@@ -129,6 +155,28 @@ def test_verifier_rejects_tampered_sequence(worked_spectrum, worked_bundle):
     assert ctgs.verify_admissible_sequence(worked_spectrum, finite, filtration, bad)
 
 
+def test_verifier_flags_costlier_level0_set():
+    """Swapping a costlier vertex into V_0 keeps it a uniqueness set but
+    breaks rate minimality, and the verifier says so."""
+    flagged = 0
+    for spectrum, _, bundle in plannable_instances(master_seed=606, count=20):
+        _, finite, filtration, seq, _ = bundle
+        v0, bw = set(seq.v_sets[0]), finite.vertex_bw
+        lam00 = filtration.levels[0].lambda0
+        swaps = [tuple(sorted(v0 - {w} | {u})) for w in sorted(v0)
+                 for u in range(spectrum.n) if u not in v0 and bw[u] > bw[w]]
+        swaps = [s for s in swaps if ctgs.is_uniqueness_set(spectrum, lam00, s)]
+        if not swaps:
+            continue
+        bad = ctgs.AdmissibleSequence(v_sets=(swaps[0],) + seq.v_sets[1:], added=seq.added,
+                                      base_rate=seq.base_rate,
+                                      quotient_rates=seq.quotient_rates)
+        problems = ctgs.verify_admissible_sequence(spectrum, finite, filtration, bad)
+        assert any("is not minimal" in p for p in problems), problems
+        flagged += 1
+    assert flagged >= 5
+
+
 def test_sequence_trivial_when_simple(two_path_spectrum):
     profile = ctgs.BandwidthProfile.create([3, 5], [0, "inf"])
     filtration = ctgs.build_filtration(two_path_spectrum, profile)
@@ -142,6 +190,23 @@ def test_random_sequences_pass_verifier():
     for spectrum, profile, bundle in plannable_instances(master_seed=101, count=15):
         _, finite, filtration, seq, _ = bundle
         assert ctgs.verify_admissible_sequence(spectrum, finite, filtration, seq) == []
+
+
+def test_n40_problem_plans_and_round_trips():
+    """Past the enumeration guard: a random n = 40 problem plans, its
+    sequence verifies, and a periodic round trip recovers it."""
+    rng = np.random.default_rng(40)
+    spectrum = random_spectrum(rng, 40)
+    profile = random_profile(rng, 40)
+    _, finite, filtration, seq, plan = ctgs.plan_problem(spectrum, profile)
+    assert filtration.depth > 0
+    assert ctgs.verify_admissible_sequence(spectrum, finite, filtration, seq) == []
+    period = least_period([g.rate for g in plan.grids])
+    sset = ctgs.build_sample_set(plan, "periodic", period)
+    truth = ctgs.synthesize_signal(spectrum, finite, 0, "periodic", period, plan=plan)
+    result = ctgs.recover(ctgs.sample_signal(truth, sset), plan, spectrum, sset)
+    errors = ctgs.recovery_error(truth, result.recovered, "periodic", period, 40)
+    assert max(e["error"] for e in errors.values()) < 1e-8
 
 
 def test_worked_plan_rates(worked_bundle):

@@ -273,6 +273,20 @@ def test_sinc_error_quadrature_matches_dense_reference(worked_spectrum, worked_b
         assert errors[v]["error"] == pytest.approx(errs[v] / refs[v], rel=1e-6)
 
 
+def test_sinc_error_blocks_match_one_block(worked_spectrum, worked_bundle, monkeypatch):
+    """Blocked sinc quadrature adds up to the one-block trapezoid rule."""
+    _, finite, _, _, plan = worked_bundle
+    window = (Fraction(-20), Fraction(20))
+    truth = ctgs.synthesize_signal(worked_spectrum, finite, 3, "sinc", window, plan=plan)
+    noise = 1e-3 * np.random.default_rng(1).standard_normal(truth.coeffs.shape)
+    perturbed = ctgs.GraphSignal("sinc", truth.domain, truth.coeffs + noise, truth.bands)
+    blocked = ctgs.recovery_error(truth, perturbed, "sinc", window, 5)
+    monkeypatch.setattr(ctgs.sampling, "QUADRATURE_BLOCK", 10**9)
+    whole = ctgs.recovery_error(truth, perturbed, "sinc", window, 5)
+    for v in range(5):
+        assert blocked[v]["error"] == pytest.approx(whole[v]["error"], rel=1e-12)
+
+
 def test_roundtrip_small_random():
     for spectrum, profile, bundle in plannable_instances(master_seed=404, count=10):
         _, finite, filtration, seq, plan = bundle
