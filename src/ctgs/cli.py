@@ -199,10 +199,12 @@ def _cmd_simulate(problem, args):
         "max_relative_error": max(rel) if rel else 0.0,
         "recovery_diagnostics": result.diagnostics,
     }
-    artifacts = {
-        "sample_set.csv": reports.sample_set_csv(sset),
-        "observations.csv": reports.observation_csv(obs),
-    }
+    # artifacts are built only when --format or --output asks for them
+    artifacts = {}
+    if args.format == "csv" or args.output:
+        artifacts["sample_set.csv"] = reports.sample_set_csv(sset)
+    if args.output:
+        artifacts["observations.csv"] = reports.observation_csv(obs)
     if args.format == "plotdata" or args.output:
         if mode == "periodic":
             t0, t1 = 0.0, float(domain)
@@ -255,7 +257,9 @@ def _cmd_redistribute(problem, args):
         "eccentricity_bound": bound,
         "full_plan_rates": {labels[v]: r for v, r in sorted(spread_plan.per_vertex_rates.items())},
     }
-    artifacts = {"redistributed_sample_set.csv": reports.sample_set_csv(spread)}
+    artifacts = {}
+    if args.output:
+        artifacts["redistributed_sample_set.csv"] = reports.sample_set_csv(spread)
     return report, artifacts
 
 

@@ -679,7 +679,12 @@ def carrier_partition(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Seq
     A vertex of ``v_star`` belongs to the group of the last base vertex of
     its minimal dependent prefix; the base vertex itself anchors its group.
     """
-    v0, v_star = validate_spread_set(spectrum, lambda0, v0, v_star)
+    return _carrier_groups(spectrum, lambda0, vertex_bw,
+                           *validate_spread_set(spectrum, lambda0, v0, v_star))
+
+
+def _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
+    """:func:`carrier_partition` of a validated (sorted v0, sorted v_star)."""
     m = len(v0)
     ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
     groups = [[] for _ in ordered]
@@ -701,6 +706,9 @@ def _combinations(pool, size):
     return comb(pool, size)
 
 
+# Both spread constructions take a validated spread set: (sorted v0, sorted
+# v_star) as ``validate_spread_set`` returns it.
+
 def _prefix_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star):
     """Spread A: each sorted base vertex's full rate is shared evenly across
     its carrier group, phases interleaving into the original uniform grid.
@@ -709,7 +717,7 @@ def _prefix_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star):
     need pairwise-disjoint times within the stage but no simultaneity; each
     grid forms its own placement group, cohorts are the stages.
     """
-    parts = carrier_partition(spectrum, lambda0, vertex_bw, v0, v_star)
+    parts = _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star)
     grids = []
     base_stages = []
     for w, carriers in parts:
@@ -738,7 +746,6 @@ def _level_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star):
     subset must stay simultaneous (one placement group) and all subsets
     across levels must stay disjoint in time (one cohort).
     """
-    v0, v_star = validate_spread_set(spectrum, lambda0, v0, v_star)
     ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
     bws = [Fraction(vertex_bw[w]) for w in ordered]
     m = len(ordered)
@@ -834,17 +841,26 @@ def _place_spread_grids(spread_grids, existing_grids) -> list:
     return out
 
 
-def _ranked_spreads(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
-    """Both spread constructions, lowest top per-vertex rate first."""
-    options = [_prefix_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star),
-               _level_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star)]
-    return sorted(options, key=lambda opt: max(rates_by_vertex(opt[0]).values(),
-                                               default=Fraction(0)))
-
-
 def choose_spread(spectrum, lambda0, vertex_bw, v0, v_star):
-    """Pick the lower-eccentricity spread of the two constructions."""
-    return _ranked_spreads(spectrum, lambda0, vertex_bw, v0, v_star)[0]
+    """Pick the lower-eccentricity spread of the two constructions: the one
+    with the lower top per-vertex rate, spread A on a tie."""
+    valid = validate_spread_set(spectrum, lambda0, v0, v_star)
+    options = [_prefix_spread_grids(spectrum, lambda0, vertex_bw, *valid),
+               _level_spread_grids(spectrum, lambda0, vertex_bw, *valid)]
+    return min(options, key=lambda opt: max(rates_by_vertex(opt[0]).values(),
+                                            default=Fraction(0)))
+
+
+def _runner_up_spread(spectrum, lambda0, vertex_bw, v0, v_star, best):
+    """The construction :func:`choose_spread` passed over for ``best``,
+    built alone on the spread set ``best`` was built on and validated for.
+    Spread B costs no rank decision, so it is rebuilt to tell which one
+    ``best`` is."""
+    valid = (tuple(sorted(set(v0))), tuple(sorted(set(v_star))))
+    level = _level_spread_grids(spectrum, lambda0, vertex_bw, *valid)
+    if level == tuple(best):
+        return _prefix_spread_grids(spectrum, lambda0, vertex_bw, *valid)
+    return level
 
 
 def _spread_plan(plan: SamplingPlan, spread, v_star: Sequence[int]) -> SamplingPlan:
@@ -880,10 +896,11 @@ def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum, v_star: Sequence[i
     from .sampling import plan_roundtrip_ok
 
     args = (spectrum, plan.base_lambda0, plan.vertex_bw, plan.base_vertices, v_star)
-    candidate = _spread_plan(plan, choose_spread(*args) if spread is None else spread, v_star)
+    best = choose_spread(*args) if spread is None else spread
+    candidate = _spread_plan(plan, best, v_star)
     if plan_roundtrip_ok(candidate, spectrum):
         return candidate
-    candidate = _spread_plan(plan, _ranked_spreads(*args)[1], v_star)
+    candidate = _spread_plan(plan, _runner_up_spread(*args, best), v_star)
     if plan_roundtrip_ok(candidate, spectrum):
         return candidate
     raise ProblemFormatError(

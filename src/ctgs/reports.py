@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -160,8 +161,7 @@ def sample_set_csv(sample_set) -> str:
     writer = csv.writer(buf)
     writer.writerow(["vertex", "time"])
     for grid in sample_set.grids:
-        for t in grid.times:
-            writer.writerow([grid.vertex, float(t)])
+        writer.writerows(zip(repeat(grid.vertex), grid.float_times.tolist()))
     return buf.getvalue()
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +38,12 @@ class RealizedGrid:
     phase: Fraction
     times: tuple  # Fractions
 
+    @cached_property
+    def float_times(self) -> np.ndarray:
+        """``times`` as floats, converted once per grid; sampling, recovery
+        and the CSV writers all read this array."""
+        return np.array([t.numerator / t.denominator for t in self.times], dtype=float)
+
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
@@ -54,12 +62,6 @@ class SampleSet:
 
     def per_vertex_rates(self) -> dict:
         return rates_by_vertex(self.grids)
-
-    def grid(self, grid_id: str) -> RealizedGrid:
-        for g in self.grids:
-            if g.grid_id == grid_id:
-                return g
-        raise KeyError(grid_id)
 
     def n_points(self) -> int:
         return sum(len(g.times) for g in self.grids)
@@ -84,12 +86,20 @@ def _periodic_grid_times(rate: Fraction, phase: Fraction, period: Fraction) -> t
     if count.denominator != 1:
         raise ProblemFormatError(
             f"periodic mode needs integral samples per period; rate {rate} * T {period} = {count}")
-    return tuple(phase + Fraction(j, rate) for j in range(int(count)))
+    return _grid_times(rate, phase, range(int(count)))
 
 
 def _sinc_grid_times(rate: Fraction, phase: Fraction, window) -> tuple:
     lo, hi = sinc_indices(rate, phase, window)
-    return tuple(phase + Fraction(j, rate) for j in range(lo, hi + 1))
+    return _grid_times(rate, phase, range(lo, hi + 1))
+
+
+def _grid_times(rate: Fraction, phase: Fraction, indices) -> tuple:
+    """phase + j/rate for each j, each built as one Fraction from integers:
+    with phase = p/q and rate = r/s it is (p*r + j*s*q) / (q*r)."""
+    p, q = phase.numerator, phase.denominator
+    r, s = rate.numerator, rate.denominator
+    return tuple(Fraction(p * r + j * s * q, q * r) for j in indices)
 
 
 def build_sample_set(plan: SamplingPlan, mode: str, period_or_window) -> SampleSet:
@@ -190,35 +200,50 @@ def sample_signal(signal: GraphSignal, sample_set: SampleSet) -> Observation:
     for g in sample_set.grids:
         if not g.times:
             continue
-        values = signal.eval(g.vertex, np.array([float(t) for t in g.times]))
-        for t, val in zip(g.times, values):
-            entries.append((g.grid_id, g.vertex, t, float(val)))
+        values = signal.eval(g.vertex, g.float_times)
+        entries.extend(zip(repeat(g.grid_id), repeat(g.vertex), g.times, values.tolist()))
     return Observation(entries=tuple(entries))
 
 
 # --- staged recovery -------------------------------------------------------
 
-def _bases(plan: SamplingPlan, mode: str, domain) -> dict:
-    """Scalar basis (width, design map) of every plan unknown."""
-    return {u: scalar_basis(mode, domain, plan.unknown_bandwidth(u)) for u in plan.unknowns}
+def _bases(plan: SamplingPlan, mode: str, domain) -> tuple:
+    """Each plan unknown's bandwidth, and the scalar basis (width, design
+    map) of each distinct bandwidth."""
+    bws = {u: plan.unknown_bandwidth(u) for u in plan.unknowns}
+    return bws, {b: scalar_basis(mode, domain, b) for b in set(bws.values())}
 
 
-def _layout(unknowns, bases) -> tuple:
+def _layout(unknowns, bws, bases) -> tuple:
     """Column blocks (unknown, first column, width) and the total width."""
     blocks, total = [], 0
     for u in unknowns:
-        blocks.append((u, total, bases[u][0]))
-        total += bases[u][0]
+        width = bases[bws[u]][0]
+        blocks.append((u, total, width))
+        total += width
     return blocks, total
 
 
-def _design_rows(plan, blocks, total, bases, vertex, times) -> np.ndarray:
+class _GridDesigns(dict):
+    """bandwidth -> its scalar basis design at one grid's times, evaluated
+    on first use and then shared by every block of that bandwidth."""
+
+    def __init__(self, bases: dict, times: np.ndarray):
+        super().__init__()
+        self.bases, self.times = bases, times
+
+    def __missing__(self, bw):
+        design = self[bw] = self.bases[bw][1](self.times)
+        return design
+
+
+def _design_rows(plan, blocks, total, bws, designs, vertex) -> np.ndarray:
     """Observation rows at ``vertex``: each visible block's scaled design."""
-    rows = np.zeros((len(times), total))
+    rows = np.zeros((len(designs.times), total))
     for u, lo, cols in blocks:
         scale = plan.visibility(u, vertex)
         if scale != 0.0 and cols:
-            rows[:, lo:lo + cols] = scale * bases[u][1](times)
+            rows[:, lo:lo + cols] = scale * designs[bws[u]]
     return rows
 
 
@@ -241,30 +266,31 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
     inconsistent with the observations.
     """
     mode, domain = sample_set.mode, sample_set.domain
-    bases = _bases(plan, mode, domain)
+    bws, bases = _bases(plan, mode, domain)
+    grids = {g.grid_id: g for g in sample_set.grids}
     obs_by_grid = observation.by_grid()
     contents: dict = {}
     diagnostics: dict = {"stages": []}
 
     for stage in plan.stages:
-        blocks, total_cols = _layout(stage.unknowns, bases)
+        blocks, total_cols = _layout(stage.unknowns, bws, bases)
         rows_a, rows_y, n_rows = [], [], 0
         for gid in stage.grid_ids:
-            grid = sample_set.grid(gid)
+            grid = grids[gid]
             pairs = obs_by_grid.get(gid, [])
-            if len(pairs) != len(grid.times):
+            if [t for t, _ in pairs] != list(grid.times):
                 raise ReconstructionError(
                     f"observation does not cover grid {gid}",
                     {"grid": gid, "expected": len(grid.times), "got": len(pairs)})
-            times = np.array([float(t) for t, _ in pairs])
+            designs = _GridDesigns(bases, grid.float_times)
             values = np.array([v for _, v in pairs])
             for solved, coeffs in contents.items():
                 scale = plan.visibility(solved, grid.vertex)
                 if scale != 0.0:
-                    values = values - scale * (bases[solved][1](times) @ coeffs)
-            rows_a.append(_design_rows(plan, blocks, total_cols, bases, grid.vertex, times))
+                    values = values - scale * (designs[bws[solved]] @ coeffs)
+            rows_a.append(_design_rows(plan, blocks, total_cols, bws, designs, grid.vertex))
             rows_y.append(values)
-            n_rows += len(times)
+            n_rows += len(pairs)
         if total_cols == 0:
             for unknown, _, _ in blocks:
                 contents[unknown] = np.zeros(0)
@@ -390,13 +416,13 @@ def sampling_operator(plan: SamplingPlan, sample_set: SampleSet):
     matching the remaining observations.
     """
     mode, domain = sample_set.mode, sample_set.domain
-    bases = _bases(plan, mode, domain)
-    blocks, total_cols = _layout(plan.unknowns, bases)
+    bws, bases = _bases(plan, mode, domain)
+    blocks, total_cols = _layout(plan.unknowns, bws, bases)
     rows = []
     row_meta = []
     for grid in sample_set.grids:
-        times = np.array([float(t) for t in grid.times])
-        rows.append(_design_rows(plan, blocks, total_cols, bases, grid.vertex, times))
+        designs = _GridDesigns(bases, grid.float_times)
+        rows.append(_design_rows(plan, blocks, total_cols, bws, designs, grid.vertex))
         row_meta.extend((grid.grid_id, t) for t in grid.times)
     matrix = np.vstack(rows) if rows else np.zeros((0, total_cols))
     return matrix, blocks, row_meta

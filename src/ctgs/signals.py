@@ -36,14 +36,16 @@ from .spectral import Spectrum
 def trig_design(times: np.ndarray, cutoff: int, period: float) -> np.ndarray:
     """Evaluation matrix of the trig basis [1, cos, sin, ...] at ``times``."""
     times = np.asarray(times, dtype=float)
-    cols = [np.ones_like(times)]
-    for k in range(1, cutoff + 1):
-        arg = 2.0 * np.pi * k * times / period
-        cols.append(np.cos(arg))
-        cols.append(np.sin(arg))
     if cutoff < 0:
         return np.zeros((len(times), 0))
-    return np.stack(cols, axis=1)
+    # one cos and one sin over the times x harmonics outer product; the
+    # argument keeps the rounding order of (2*pi*k) * t / period
+    arg = times[:, None] * (2.0 * np.pi * np.arange(1, cutoff + 1)) / period
+    design = np.empty((len(times), n_trig_coeffs(cutoff)))
+    design[:, 0] = 1.0
+    design[:, 1::2] = np.cos(arg)
+    design[:, 2::2] = np.sin(arg)
+    return design
 
 
 def sinc_indices(rate: Fraction, phase: Fraction, window) -> tuple:
@@ -179,31 +181,33 @@ def random_member(spectrum: Spectrum, profile: BandwidthProfile, period, seed) -
     return PeriodicSignal(period, coeffs)
 
 
+def _first_harmonics_beyond(coeffs: np.ndarray, limits: dict, cutoff: int, threshold) -> dict:
+    """Row -> the first harmonic above its limit that has a coefficient
+    beyond ``threshold``, for the rows in ``limits`` that have one."""
+    big = np.abs(coeffs[:, :n_trig_coeffs(cutoff)]) > threshold
+    # harmonic k >= 1 owns columns 2k-1 (cos) and 2k (sin)
+    per_harmonic = np.hstack([big[:, :1], big[:, 1::2] | big[:, 2::2]])
+    rows = list(limits)
+    beyond = per_harmonic[rows] & (np.arange(cutoff + 1)[None, :]
+                                   > np.array([limits[r] for r in rows])[:, None])
+    return {r: int(np.argmax(hit)) for r, hit in zip(rows, beyond) if hit.any()}
+
+
 def membership_violations(spectrum: Spectrum, profile: BandwidthProfile,
                           signal: GraphSignal, tol: float = COEFF_TOL) -> list:
-    """Support checks: vertex rows within B, transformed rows within C."""
+    """Support checks: vertex rows within B, transformed rows within C.
+    Lists each violating row once, with its first harmonic past the bound."""
     period = signal.domain
     scale = max(1.0, float(np.max(np.abs(signal.coeffs))) if signal.coeffs.size else 1.0)
-    bad = []
-    for v, b in enumerate(profile.vertex_bw):
-        if is_inf(b):
-            continue
-        limit = harmonic_cutoff(b, period)
-        for k in range(limit + 1, signal.cutoff + 1):
-            lo, hi = (0, 1) if k == 0 else (2 * k - 1, 2 * k + 1)
-            if np.any(np.abs(signal.coeffs[v, lo:hi]) > tol * scale):
-                bad.append(("vertex", v, k))
-                break
+    vertex_limits = {v: harmonic_cutoff(b, period)
+                     for v, b in enumerate(profile.vertex_bw) if not is_inf(b)}
+    freq_limits = {f: harmonic_cutoff(c, period) if c > 0 else -1
+                   for f, c in enumerate(profile.freq_bw) if not is_inf(c)}
+    bad = [("vertex", v, k) for v, k in _first_harmonics_beyond(
+        signal.coeffs, vertex_limits, signal.cutoff, tol * scale).items()]
     transformed = spectrum.basis @ signal.coeffs
-    for f, c in enumerate(profile.freq_bw):
-        if is_inf(c):
-            continue
-        limit = harmonic_cutoff(c, period) if c > 0 else -1
-        for k in range(limit + 1, signal.cutoff + 1):
-            lo, hi = (0, 1) if k == 0 else (2 * k - 1, 2 * k + 1)
-            if np.any(np.abs(transformed[f, lo:hi]) > tol * scale):
-                bad.append(("frequency", f, k))
-                break
+    bad += [("frequency", f, k) for f, k in _first_harmonics_beyond(
+        transformed, freq_limits, signal.cutoff, tol * scale).items()]
     return bad
 
 

@@ -120,3 +120,39 @@ def check_uniform_exhaustive(spectrum, profile):
     if best is None:
         return False, None, ctgs.INF
     return True, best[0], best[1]
+
+
+def trig_design_per_harmonic(times, cutoff, period):
+    """Oracle for ``signals.trig_design``: one cos and one sin column per
+    harmonic, stacked in [1, cos 1, sin 1, cos 2, ...] order."""
+    times = np.asarray(times, dtype=float)
+    if cutoff < 0:
+        return np.zeros((len(times), 0))
+    cols = [np.ones_like(times)]
+    for k in range(1, cutoff + 1):
+        arg = 2.0 * np.pi * k * times / period
+        cols.append(np.cos(arg))
+        cols.append(np.sin(arg))
+    return np.stack(cols, axis=1)
+
+
+def membership_violations_loop(spectrum, profile, signal, tol=ctgs.numerics.COEFF_TOL):
+    """Oracle for ``signals.membership_violations``: each constrained row is
+    scanned harmonic by harmonic up to its first coefficient beyond tol."""
+    from ctgs.numerics import harmonic_cutoff, is_inf
+
+    period = signal.domain
+    scale = max(1.0, float(np.max(np.abs(signal.coeffs))) if signal.coeffs.size else 1.0)
+    transformed = spectrum.basis @ signal.coeffs
+    rows = [("vertex", v, signal.coeffs[v], harmonic_cutoff(b, period))
+            for v, b in enumerate(profile.vertex_bw) if not is_inf(b)]
+    rows += [("frequency", f, transformed[f], harmonic_cutoff(c, period) if c > 0 else -1)
+             for f, c in enumerate(profile.freq_bw) if not is_inf(c)]
+    bad = []
+    for kind, index, row, limit in rows:
+        for k in range(limit + 1, signal.cutoff + 1):
+            lo, hi = (0, 1) if k == 0 else (2 * k - 1, 2 * k + 1)
+            if np.any(np.abs(row[lo:hi]) > tol * scale):
+                bad.append((kind, index, k))
+                break
+    return bad

@@ -89,6 +89,49 @@ def test_redistribute_computes_one_spread(worked_problem_file, capsys, monkeypat
     assert len(calls) == 1
 
 
+def test_redistribute_validates_spread_set_once(worked_problem_file, capsys, monkeypatch):
+    calls = []
+    original = ctgs.planner.validate_spread_set
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ctgs.planner, "validate_spread_set", counted)
+    code, _, _ = _run(capsys, ["redistribute", "--input", worked_problem_file,
+                               "--vstar", "v2,v3,v4"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_simulate_builds_csv_artifacts_on_demand(worked_problem_file, capsys, monkeypatch,
+                                                 tmp_path):
+    built = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            built.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("sample_set_csv", "observation_csv"):
+        monkeypatch.setattr(reports, name, counting(name, getattr(reports, name)))
+    code, _, _ = _run(capsys, ["simulate", "--input", worked_problem_file])
+    assert code == 0
+    assert built == []
+    out_dir = tmp_path / "artifacts"
+    code, out, _ = _run(capsys, ["simulate", "--input", worked_problem_file,
+                                 "--output", str(out_dir)])
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "observations.csv", "plotdata.csv", "sample_set.csv", "simulate_report.json"]
+    assert (out_dir / "simulate_report.json").read_text() == out
+    rows = (out_dir / "observations.csv").read_text().splitlines()
+    assert rows[0] == "vertex,time,value" and len(rows) == 1 + 32
+    assert (out_dir / "sample_set.csv").read_text().splitlines()[1:] == [
+        row.rsplit(",", 1)[0] for row in rows[1:]]
+
+
 def test_plan_n40_problem(tmp_path, capsys):
     rng = np.random.default_rng(40)
     edges = [[int(rng.integers(0, v)), v, float(rng.uniform(0.5, 2.0))] for v in range(1, 40)]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,72 @@ def test_redistribute_rejects_bad_spread_set(worked_spectrum, worked_bundle, wor
     with pytest.raises(ctgs.ProblemFormatError):
         ctgs.redistribute(worked_spectrum, plan.base_lambda0, finite.vertex_bw,
                           plan.base_vertices, (2, 3, 4), base)
+
+
+def test_carrier_partition_rejects_bad_spread_set(worked_spectrum, worked_bundle):
+    _, finite, _, _, plan = worked_bundle
+    with pytest.raises(ctgs.ProblemFormatError):
+        ctgs.planner.carrier_partition(worked_spectrum, plan.base_lambda0, finite.vertex_bw,
+                                       plan.base_vertices, (2, 3, 4))
+
+
+def _first_recoverable_spread(plan, spectrum, v_star):
+    """Oracle for ``redistribute_plan``: both constructions, ranked by top
+    per-vertex rate (spread A on a tie), the first that round-trips."""
+    planner = ctgs.planner
+    args = (spectrum, plan.base_lambda0, plan.vertex_bw)
+    valid = planner.validate_spread_set(spectrum, plan.base_lambda0, plan.base_vertices, v_star)
+    options = sorted([planner._prefix_spread_grids(*args, *valid),
+                      planner._level_spread_grids(*args, *valid)],
+                     key=lambda opt: max(planner.rates_by_vertex(opt[0]).values()))
+    for option in options:
+        candidate = planner._spread_plan(plan, option, v_star)
+        if ctgs.sampling.plan_roundtrip_ok(candidate, spectrum):
+            return candidate
+    return None
+
+
+def test_redistribute_plan_falls_back_to_runner_up(monkeypatch):
+    """Where the best spread fails its round trip, the runner-up is the one
+    returned, and the spread set is validated once per plan."""
+    planner = ctgs.planner
+    validations = []
+    original = planner.validate_spread_set
+
+    def counted(*args):
+        validations.append(args)
+        return original(*args)
+
+    fallbacks = set()
+    for spectrum, _, bundle in plannable_instances(master_seed=1, count=15):
+        plan = bundle[4]
+        if not plan.base_vertices:   # no base load to spread
+            continue
+        v_star = list(plan.base_vertices)
+        for v in range(spectrum.n):
+            if v in v_star:
+                continue
+            try:
+                original(spectrum, plan.base_lambda0, plan.base_vertices, v_star + [v])
+            except ctgs.ProblemFormatError:
+                continue
+            v_star.append(v)
+        want = _first_recoverable_spread(plan, spectrum, v_star)
+        best = planner.choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
+                                     plan.base_vertices, v_star)
+        if want is not None and want.grids != planner._spread_plan(plan, best, v_star).grids:
+            fallbacks.add("B" if any(":inc:" in g.grid_id for g in want.grids) else "A")
+        validations.clear()
+        monkeypatch.setattr(planner, "validate_spread_set", counted)
+        if want is None:
+            with pytest.raises(ctgs.ProblemFormatError):
+                ctgs.redistribute_plan(plan, spectrum, v_star)
+        else:
+            assert ctgs.redistribute_plan(plan, spectrum, v_star).grids == want.grids
+        monkeypatch.setattr(planner, "validate_spread_set", original)
+        assert len(validations) == 1
+    # runner-ups of both kinds were returned
+    assert fallbacks == {"A", "B"}
 
 
 def test_prop_bound_floor_value():
@@ -343,3 +410,69 @@ def test_six_deletions_break_uniqueness(worked_spectrum, worked_bundle):
         witness = ctgs.sampling.unknowns_to_signal(plan, blocks, null_vec, 1)
         assert ctgs.verify_membership(worked_spectrum, finite, witness)
         assert np.max(np.abs(witness.coeffs)) > 1e-6
+
+
+def test_grid_times_exact_as_fractions_and_floats():
+    """Each grid time is phase + j/rate exactly, and its float is the
+    correctly rounded float of that Fraction."""
+    from ctgs.sampling import _periodic_grid_times, _sinc_grid_times
+
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(300):
+        rate = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 12)))
+        phase = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 30)))
+        if rng.random() < 0.5:
+            period = Fraction(int(rng.integers(1, 5)) * rate.denominator, rate.numerator)
+            times = _periodic_grid_times(rate, phase, period)
+            indices = range(int(rate * period))
+        else:
+            t0 = Fraction(int(rng.integers(-40, 0)), int(rng.integers(1, 7)))
+            t1 = t0 + Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 7)))
+            times = _sinc_grid_times(rate, phase, (t0, t1))
+            lo = math.ceil((t0 - phase) * rate)   # first grid index inside the window
+            indices = range(lo, lo + len(times))
+            assert all(t0 <= t <= t1 for t in times)
+            assert phase + Fraction(lo + len(times), rate) > t1
+        assert times == tuple(phase + Fraction(j, rate) for j in indices)
+        grid = RealizedGrid("g", 0, rate, phase, times)
+        assert grid.float_times.dtype == np.float64
+        assert grid.float_times.tolist() == [float(t) for t in times]
+        checked += len(times)
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("mode, domain", [("periodic", 1), ("sinc", (-3, 3))])
+def test_recover_evaluates_each_grid_basis_once(worked_spectrum, worked_bundle, monkeypatch,
+                                               mode, domain):
+    _, _, _, _, plan = worked_bundle
+    sset = ctgs.build_sample_set(plan, mode, domain)
+    truth = ctgs.synthesize_signal(worked_spectrum, worked_bundle[1], 3, mode, domain, plan=plan)
+    obs = ctgs.sample_signal(truth, sset)
+    evaluations = []
+    original = ctgs.sampling.scalar_basis
+
+    def counted_basis(mode, domain, bw):
+        width, design = original(mode, domain, bw)
+
+        def counted(times):
+            evaluations.append((bw, tuple(times)))
+            return design(times)
+        return width, counted
+
+    monkeypatch.setattr(ctgs.sampling, "scalar_basis", counted_basis)
+    result = ctgs.recover(obs, plan, worked_spectrum, sset)
+    grids_at = {}
+    for g in sset.grids:
+        key = tuple(g.float_times)
+        grids_at[key] = grids_at.get(key, 0) + 1
+    seen = {}
+    for bw, times in evaluations:
+        seen[bw, times] = seen.get((bw, times), 0) + 1
+    # grids sharing their times may each evaluate; no grid evaluates twice
+    assert all(count <= grids_at[times] for (_, times), count in seen.items())
+    assert len(evaluations) <= len(sset.grids) * len({plan.unknown_bandwidth(u)
+                                                      for u in plan.unknowns})
+    assert len({bw for bw, _ in evaluations}) > 1
+    monkeypatch.undo()
+    assert result.diagnostics == ctgs.recover(obs, plan, worked_spectrum, sset).diagnostics

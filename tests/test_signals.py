@@ -4,7 +4,13 @@ import numpy as np
 
 import ctgs
 
-from helpers import plannable_instances
+from helpers import (
+    membership_violations_loop,
+    plannable_instances,
+    random_profile,
+    random_spectrum,
+    trig_design_per_harmonic,
+)
 
 
 def test_worked_space_dimension(worked_spectrum, worked_bundle):
@@ -103,3 +109,40 @@ def test_sinc_series_interpolates_nodes():
                               np.arange(17, dtype=float)[None, :], (Fraction(1),))
     nodes = np.arange(-8, 9) / 2.0
     assert np.allclose(series.eval(0, nodes), series.coeffs[0], atol=1e-12)
+
+
+def test_trig_design_matches_per_harmonic_oracle():
+    rng = np.random.default_rng(6)
+    for cutoff in range(-1, 41):
+        for _ in range(3):
+            times = rng.uniform(-50.0, 50.0, int(rng.integers(0, 200)))
+            period = float(rng.uniform(0.05, 40.0))
+            got = ctgs.signals.trig_design(times, cutoff, period)
+            assert np.array_equal(got, trig_design_per_harmonic(times, cutoff, period)), \
+                (cutoff, period)
+
+
+def test_membership_violations_match_loop_oracle():
+    rng = np.random.default_rng(16)
+    verdicts = set()
+    for trial in range(300):
+        n = int(rng.integers(2, 7))
+        spectrum = random_spectrum(rng, n)
+        profile = random_profile(rng, n)
+        period = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+        signal = ctgs.random_member(spectrum, profile, period, trial)
+        if trial % 3 == 1:
+            # a member with one coefficient moved
+            coeffs = signal.coeffs.copy()
+            if coeffs.size:
+                coeffs[int(rng.integers(0, n)), int(rng.integers(0, coeffs.shape[1]))] += 1.0
+            signal = ctgs.PeriodicSignal(period, coeffs)
+        elif trial % 3 == 2:
+            # random rows, with whole columns zeroed so rows stop at random harmonics
+            coeffs = rng.standard_normal((n, 2 * int(rng.integers(0, 10)) + 1))
+            coeffs[:, rng.random(coeffs.shape[1]) < 0.5] = 0.0
+            signal = ctgs.PeriodicSignal(period, coeffs)
+        want = membership_violations_loop(spectrum, profile, signal)
+        assert ctgs.signals.membership_violations(spectrum, profile, signal) == want
+        verdicts.add(bool(want))
+    assert verdicts == {False, True}
