@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dependence import enumerate_uniqueness_sets, is_dependent
+from .dependence import enumerate_uniqueness_sets, greedy_scan, is_dependent
 from .errors import InfeasibleProblemError, ProblemFormatError, ScaleLimitError
-from .numerics import INF, as_bandwidth, bandwidth_to_json, is_inf, svd_rank
+from .numerics import INF, as_bandwidth, bandwidth_to_json, is_inf
 from .spectral import Spectrum
 
 TIGHTEN_GUARD = 12
@@ -90,24 +90,14 @@ def _replacement_bound(profile: BandwidthProfile, v_inf, freqs) -> object:
     return max(parts) if parts else Fraction(0)
 
 
-def _greedy_rows(spectrum: Spectrum, freqs, v_inf) -> list:
-    """Frequencies kept by one greedy rank pass over ``freqs`` in the order given."""
-    chosen: list = []
-    for f in freqs:
-        if len(chosen) == len(v_inf):
-            break
-        if svd_rank(spectrum.submatrix(chosen + [f], v_inf)) > len(chosen):
-            chosen.append(f)
-    return chosen
-
-
 def check_uniform(spectrum: Spectrum, profile: BandwidthProfile) -> UniformityCertificate:
     """Decide whether every signal in the space has uniformly finite bandwidth.
 
     With infinite vertex bounds present, uniformity holds iff some subset of
     finite-bound frequencies of matching size has an invertible eigenrow
-    block over those vertices. These subsets are the bases of a matroid, so
-    two greedy rank passes settle the rest: one in ascending (bound, index)
+    block over those vertices. These subsets are the bases of the row matroid
+    of the eigenrows restricted to those vertices, so two greedy scans
+    (:func:`greedy_scan`) settle the rest: one in ascending (bound, index)
     order gives the least finitization bound (a bottleneck basis), and one
     in index order over the frequencies whose bound stays within it gives
     the lexicographically first witness attaining that bound.
@@ -119,13 +109,12 @@ def check_uniform(spectrum: Spectrum, profile: BandwidthProfile) -> UniformityCe
         return UniformityCertificate(True, (), None, finite_max)
 
     finite_freqs = [f for f, c in enumerate(profile.freq_bw) if not is_inf(c)]
-    cheapest = _greedy_rows(spectrum, sorted(finite_freqs, key=lambda f: (profile.freq_bw[f], f)),
-                            v_inf)
+    rows = spectrum.basis[:, list(v_inf)]
+    cheapest = greedy_scan(rows, sorted(finite_freqs, key=lambda f: (profile.freq_bw[f], f)))
     if len(cheapest) < len(v_inf):
         return UniformityCertificate(False, v_inf, None, INF)
     bound = _replacement_bound(profile, set(v_inf), cheapest)
-    witness = _greedy_rows(spectrum, [f for f in finite_freqs if profile.freq_bw[f] <= bound],
-                           v_inf)
+    witness = greedy_scan(rows, [f for f in finite_freqs if profile.freq_bw[f] <= bound])
     return UniformityCertificate(True, v_inf, tuple(witness), bound)
 
 

@@ -6,20 +6,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import reports
 from .bandwidth import TIGHTEN_GUARD, check_uniform, finitize, is_tight, tighten
 from .errors import CtgsError, InfeasibleProblemError, ProblemFormatError
 from .numerics import json_to_number, least_period
-from .planner import choose_spread, plan_problem, redistribute_plan
+from .planner import plan_problem, redistribute_plan
 from .problems import load_problem
 from .sampling import (
     build_sample_set,
     eccentricity,
     prop_bound_eccentricity,
     recover,
-    realize_spread,
     recovery_error,
     sample_rate,
     sample_signal,
@@ -215,30 +215,30 @@ def _cmd_simulate(problem, args):
     return report, artifacts
 
 
+def _base_sample_set(plan, mode, domain):
+    """The plan's base grids alone, realized on ``domain``."""
+    base = tuple(g for g in plan.grids if g.grid_id.startswith("base"))
+    return build_sample_set(replace(plan, grids=base), mode, domain)
+
+
 def _cmd_redistribute(problem, args):
     mode, period, window, _, tolerance = _resolve_options(problem, args)
     v_star = _parse_vstar(problem, getattr(args, "vstar", None))
     spectrum, cert, finite, filtration, seq, plan = _plan_bundle(problem, tolerance)
     labels = problem.graph.vertex_labels
-    lam00 = plan.base_lambda0
-    # the one spread computation of this command: both the sample-set view
-    # and the full plan below use it
-    chosen = choose_spread(spectrum, lam00, finite.vertex_bw, plan.base_vertices, v_star)
+    # ``after`` describes the base grids of the plan returned, whichever
+    # spread construction passed its round trip
+    spread_plan = redistribute_plan(plan, spectrum, v_star)
     if mode == "periodic":
         per = period if period is not None else least_period(
-            [2 * Fraction(finite.vertex_bw[v]) for v in plan.base_vertices]
-            + [g.rate for g in chosen[0]])
+            [g.rate for g in plan.grids + spread_plan.grids if g.grid_id.startswith("base")])
         domain = per
     else:
         domain = window if window is not None else (Fraction(-20), Fraction(20))
-    base_set = build_sample_set(plan, mode, domain)
-    base_only = type(base_set)(n=base_set.n, mode=base_set.mode, period=base_set.period,
-                               window=base_set.window,
-                               grids=tuple(g for g in base_set.grids if g.grid_id.startswith("base")))
-    spread = realize_spread(chosen[0], base_only)
+    base_only = _base_sample_set(plan, mode, domain)
+    spread = _base_sample_set(spread_plan, mode, domain)
     sorted_bw = sorted(Fraction(finite.vertex_bw[v]) for v in plan.base_vertices)
     bound = prop_bound_eccentricity(plan.n, sorted_bw, len(v_star), sample_rate(base_only))
-    spread_plan = redistribute_plan(plan, spectrum, v_star, spread=chosen)
     report = {
         "command": "redistribute",
         "labels": list(labels),

@@ -7,7 +7,8 @@ snapshot that vanishes on ``V'`` also vanishes at ``v`` — equivalently, every
 null-space direction of the eigenrow submatrix over the complement of ``V'``
 has zero ``v``-component. Independence in this sense is a matroid whose bases
 are exactly the uniqueness sets, which is what makes the greedy minimal-rate
-search below exact.
+search below exact. Every greedy search on the planning path is one ordered
+:func:`greedy_scan` over the rows of a matrix with orthonormal columns.
 """
 
 from __future__ import annotations
@@ -145,22 +146,48 @@ def x_support(x: np.ndarray) -> np.ndarray:
     return np.abs(x) > COMPONENT_TOL * max(1.0, scale)
 
 
+def greedy_scan(rows: np.ndarray, order: Iterable[int]) -> list:
+    """Greedy basis of the row matroid of ``rows``: the indices, in ``order``,
+    of the rows kept by one scan.
+
+    A row is kept when its residual against the rows kept before it exceeds
+    ``COMPONENT_TOL``. Modified Gram-Schmidt: each kept direction is
+    projected out of every later row at once, and each row is
+    re-orthogonalized once against the kept directions before its residual
+    is read. The scan stops at full column rank.
+    """
+    order = list(order)
+    rest = np.array(rows, dtype=float)[order]
+    directions = np.empty((0, rest.shape[1]))
+    kept: list = []
+    for pos, index in enumerate(order):
+        if len(kept) == rest.shape[1]:
+            break
+        residual = rest[pos] - directions.T @ (directions @ rest[pos])
+        norm = float(np.linalg.norm(residual))
+        if norm > COMPONENT_TOL:
+            residual /= norm
+            directions = np.vstack([directions, residual])
+            rest[pos + 1:] -= np.outer(rest[pos + 1:] @ residual, residual)
+            kept.append(index)
+    return kept
+
+
 def greedy_minimal_vertex_set(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence):
     """Greedy matroid optimum: uniqueness set minimizing the bandwidth sum.
 
-    Candidates are scanned in ascending (bandwidth, index) order and added
-    whenever they are not lambda0-dependent on the current set. Returns the
-    set together with its sampling rate ``2 * sum(bw)``.
+    The dependence matroid is the row matroid of F = ``basis[free, :].T``,
+    ``free`` being the frequencies outside lambda0: a vertex's residual
+    against the rows of F over a set is the null-space row norm that
+    :func:`dependent_mask` thresholds. F's rows are scanned in ascending
+    (bandwidth, index) order by :func:`greedy_scan`. Returns the set
+    together with its sampling rate ``2 * sum(bw)``.
     """
     lambda0 = tuple(sorted(set(lambda0)))
-    target = spectrum.n - len(lambda0)
-    chosen: list = []
-    for v in sorted(range(spectrum.n), key=lambda v: (vertex_bw[v], v)):
-        if len(chosen) == target:
-            break
-        if not is_dependent(spectrum, lambda0, chosen, v):
-            chosen.append(v)
-    if len(chosen) != target:
+    free = _complement(spectrum.n, lambda0)
+    order = sorted(range(spectrum.n), key=lambda v: (vertex_bw[v], v))
+    chosen = greedy_scan(spectrum.basis[free, :].T, order)
+    if len(chosen) != len(free):
         raise ValueError("greedy search failed to reach a basis; inconsistent spectrum")
     v0 = make_uniqueness_set(spectrum, lambda0, chosen)
     rate = 2 * sum((Fraction(vertex_bw[v]) for v in v0.vertices), Fraction(0))

@@ -26,6 +26,10 @@ SV_RTOL = 1e-9
 # Component threshold for "this null-space direction has zero v-component"
 # and for "this x-vector entry vanishes".  Null bases are orthonormal and
 # x-vectors are O(1), so an absolute cutoff a little above SV_RTOL is safe.
+# It also bounds the residuals of ``dependence.greedy_scan``: a row is kept
+# when its residual against the kept rows exceeds it. The scanned matrices
+# have orthonormal columns, where that residual equals the null-space row
+# norm tested above.
 COMPONENT_TOL = 1e-8
 
 # Absolute tolerance for coefficient-support checks on synthesized signals.

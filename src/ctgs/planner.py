@@ -10,8 +10,9 @@ organized into stages that are solved in order by exact linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -23,7 +24,6 @@ from .dependence import (
     enumerate_uniqueness_sets,
     extension_matrix,
     greedy_minimal_vertex_set,
-    is_dependent,
     is_uniqueness_set,
     x_support,
     x_vector,
@@ -238,29 +238,20 @@ def _sequence_from_sets(profile, filtration, v_sets, added) -> AdmissibleSequenc
 
 
 def _greedy_sequence(spectrum, profile, filtration) -> Optional[AdmissibleSequence]:
-    lam00 = filtration.levels[0].lambda0
-    v0, _ = greedy_minimal_vertex_set(spectrum, lam00, profile.vertex_bw)
+    """Each level adds the first vertex in (bandwidth, index) order that does
+    not depend on the previous set: V_{i-1} + v is a uniqueness set at level
+    i exactly then, and the peeled transform cannot vanish at such a v."""
+    bw = profile.vertex_bw
+    v0, _ = greedy_minimal_vertex_set(spectrum, filtration.levels[0].lambda0, bw)
+    order = sorted(range(spectrum.n), key=lambda v: (bw[v], v))
     v_sets = [tuple(v0.vertices)]
     added = []
-    current = set(v0.vertices)
     for i in range(1, filtration.depth + 1):
-        step = filtration.step_at(i)
-        lam_i0 = filtration.levels[i].lambda0
-        choice = None
-        for v in sorted(range(spectrum.n), key=lambda v: (profile.vertex_bw[v], v)):
-            if v in current:
-                continue
-            trial = sorted(current | {v})
-            if not is_uniqueness_set(spectrum, lam_i0, trial):
-                continue
-            if abs(_x_at(spectrum, lam_i0, trial, step.lambda_star, v)) <= 1e-8:
-                continue
-            choice = v
-            break
+        dependent = dependent_mask(spectrum, filtration.levels[i].lambda0, v_sets[-1])
+        choice = next((v for v in order if not dependent[v]), None)
         if choice is None:
             return None
-        current.add(choice)
-        v_sets.append(tuple(sorted(current)))
+        v_sets.append(tuple(sorted(v_sets[-1] + (choice,))))
         added.append(choice)
     return _sequence_from_sets(profile, filtration, v_sets, added)
 
@@ -274,27 +265,21 @@ def _backtrack_sequence(spectrum, profile, filtration) -> Optional[AdmissibleSeq
     ]
     k = filtration.depth
     bw = profile.vertex_bw
+    order = sorted(range(spectrum.n), key=lambda v: (bw[v], v))
 
     def extend(v_sets, added, level):
         if level > k:
             return v_sets, added
-        step = filtration.step_at(level)
-        lam_i0 = filtration.levels[level].lambda0
-        b = step.b_star
-        current = set(v_sets[-1])
-        for v in sorted(range(spectrum.n), key=lambda v: (bw[v], v)):
-            if v in current:
-                continue
-            trial = sorted(current | {v})
-            if not is_uniqueness_set(spectrum, lam_i0, trial):
-                continue
-            if abs(_x_at(spectrum, lam_i0, trial, step.lambda_star, v)) <= 1e-8:
-                continue
-            if Fraction(bw[v]) < b:
-                continue
-            if not _outside_bw_ok(spectrum, bw, lam_i0, sorted(current), trial, b):
-                continue
-            result = extend(v_sets + [tuple(trial)], added + [v], level + 1)
+        b = _level_b(filtration, level)
+        dependent = dependent_mask(spectrum, filtration.levels[level].lambda0, v_sets[-1])
+        candidates = [v for v in order if not dependent[v]]
+        # the candidates are exactly the outside vertices that do not depend
+        # on the previous set, so the new-vertex and outside bandwidth tests
+        # are one test per node
+        if any(Fraction(bw[v]) < b for v in candidates):
+            return None
+        for v in candidates:
+            result = extend(v_sets + [tuple(sorted(v_sets[-1] + (v,)))], added + [v], level + 1)
             if result is not None:
                 return result
         return None
@@ -482,17 +467,7 @@ def _compute_stages(plan: SamplingPlan) -> tuple:
 
 
 def _with_stages(plan: SamplingPlan) -> SamplingPlan:
-    return SamplingPlan(
-        vertex_bw=plan.vertex_bw,
-        base_vertices=plan.base_vertices,
-        base_lambda0=plan.base_lambda0,
-        base_extension=plan.base_extension,
-        levels=plan.levels,
-        grids=plan.grids,
-        base_stages=plan.base_stages,
-        stages=_compute_stages(plan),
-        notes=plan.notes,
-    )
+    return replace(plan, stages=_compute_stages(plan))
 
 
 def make_plan(spectrum: Spectrum, profile: BandwidthProfile,
@@ -643,16 +618,10 @@ def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) 
     phase = _interleaving_phase(kept_rate, donated_rate)
     grids.append(Grid(grid_id=f"level:{spec.level}:donated:{donor}", vertex=donor,
                       rate=donated_rate, phase=phase))
-    moved = SamplingPlan(
-        vertex_bw=plan.vertex_bw,
-        base_vertices=plan.base_vertices,
-        base_lambda0=plan.base_lambda0,
-        base_extension=plan.base_extension,
-        levels=plan.levels,
-        grids=_decollide_phases(grids),
-        base_stages=plan.base_stages,
-        notes=plan.notes + (f"split level {spec.level}: rate {donated_rate} moved to vertex {donor}",),
-    )
+    moved = replace(
+        plan, grids=_decollide_phases(grids),
+        notes=plan.notes
+        + (f"split level {spec.level}: rate {donated_rate} moved to vertex {donor}",))
     if moved.total_rate != plan.total_rate:
         raise AssertionError("split changed the total rate")
     return _with_stages(moved)
@@ -664,9 +633,12 @@ def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
     a uniqueness set. Returns (sorted v0, sorted v_star)."""
     v0 = tuple(sorted(set(v0)))
     v_star = tuple(sorted(set(v_star)))
+    if not v0:
+        raise ProblemFormatError(
+            "the base uniqueness set is empty; there is no base load to spread")
     if not set(v0) <= set(v_star):
         raise ProblemFormatError("the spread set must contain the base uniqueness set")
-    for sub in _combinations(v_star, len(v0)):
+    for sub in combinations(v_star, len(v0)):
         if not is_uniqueness_set(spectrum, lambda0, sub):
             raise ProblemFormatError(f"spread set invalid: {sub} is not a uniqueness set")
     return v0, v_star
@@ -684,26 +656,20 @@ def carrier_partition(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Seq
 
 
 def _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
-    """:func:`carrier_partition` of a validated (sorted v0, sorted v_star)."""
-    m = len(v0)
+    """:func:`carrier_partition` of a validated (sorted v0, sorted v_star):
+    one dependence mask per base prefix decides every spread vertex."""
     ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
-    groups = [[] for _ in ordered]
-    for u in v_star:
-        if u in v0:
-            groups[ordered.index(u)].append(u)
-            continue
-        for k in range(1, m + 1):
-            if is_dependent(spectrum, lambda0, ordered[:k], u):
-                groups[k - 1].append(u)
-                break
-        else:
-            raise AssertionError("spread vertex not dependent on the full base set")
+    groups = [[w] for w in ordered]
+    pending = [u for u in v_star if u not in v0]
+    for k, group in enumerate(groups):
+        if not pending:
+            break
+        dependent = dependent_mask(spectrum, lambda0, ordered[:k + 1])
+        group.extend(u for u in pending if dependent[u])
+        pending = [u for u in pending if not dependent[u]]
+    if pending:
+        raise AssertionError("spread vertex not dependent on the full base set")
     return [(w, tuple(sorted(g))) for w, g in zip(ordered, groups)]
-
-
-def _combinations(pool, size):
-    from itertools import combinations as comb
-    return comb(pool, size)
 
 
 # Both spread constructions take a validated spread set: (sorted v0, sorted
@@ -867,36 +833,29 @@ def _spread_plan(plan: SamplingPlan, spread, v_star: Sequence[int]) -> SamplingP
     """``plan`` with its base grids replaced by one spread construction."""
     spread_grids, base_stages = spread
     kept = [g for g in plan.grids if not g.grid_id.startswith("base")]
-    candidate = SamplingPlan(
-        vertex_bw=plan.vertex_bw,
-        base_vertices=plan.base_vertices,
-        base_lambda0=plan.base_lambda0,
-        base_extension=plan.base_extension,
-        levels=plan.levels,
-        grids=tuple(kept + _place_spread_grids(spread_grids, kept)),
+    candidate = replace(
+        plan, grids=tuple(kept + _place_spread_grids(spread_grids, kept)),
         base_stages=tuple(base_stages),
-        notes=plan.notes + (f"base load spread over {tuple(sorted(set(v_star)))}",),
-    )
+        notes=plan.notes + (f"base load spread over {tuple(sorted(set(v_star)))}",))
     if candidate.total_rate != plan.total_rate:
         raise AssertionError("redistribution changed the total rate")
     return _with_stages(candidate)
 
 
-def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum, v_star: Sequence[int],
-                      spread=None) -> SamplingPlan:
+def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum,
+                      v_star: Sequence[int]) -> SamplingPlan:
     """Spread the base sampling load over ``v_star`` without changing the rate.
 
     With quotient levels present, spread carriers observe quotient content
     too, which can starve a construction of information; each construction
     is therefore verified by an actual periodic round trip before being
     returned, best eccentricity first, and the other one is built only when
-    the best fails. ``spread`` is the best construction, as
-    :func:`choose_spread` returns it, for a caller that already has it.
+    the best fails.
     """
     from .sampling import plan_roundtrip_ok
 
     args = (spectrum, plan.base_lambda0, plan.vertex_bw, plan.base_vertices, v_star)
-    best = choose_spread(*args) if spread is None else spread
+    best = choose_spread(*args)
     candidate = _spread_plan(plan, best, v_star)
     if plan_roundtrip_ok(candidate, spectrum):
         return candidate

@@ -104,23 +104,27 @@ def _grid_times(rate: Fraction, phase: Fraction, indices) -> tuple:
 
 def build_sample_set(plan: SamplingPlan, mode: str, period_or_window) -> SampleSet:
     """Realize the plan's grids as concrete sample times."""
-    grids = []
+    return _realize(plan.grids, plan.n, mode, period_or_window)
+
+
+def _realize(grids, n: int, mode: str, period_or_window) -> SampleSet:
+    realized = []
     if mode == "periodic":
         period = Fraction(period_or_window)
         if period <= 0:
             raise ProblemFormatError("period must be positive")
-        for g in plan.grids:
-            grids.append(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase,
-                                      _periodic_grid_times(g.rate, g.phase, period)))
-        return SampleSet(n=plan.n, mode="periodic", period=period, window=None, grids=tuple(grids))
+        for g in grids:
+            realized.append(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase,
+                                         _periodic_grid_times(g.rate, g.phase, period)))
+        return SampleSet(n=n, mode="periodic", period=period, window=None, grids=tuple(realized))
     if mode == "sinc":
         window = (Fraction(period_or_window[0]), Fraction(period_or_window[1]))
         if window[1] <= window[0]:
             raise ProblemFormatError("window must be non-degenerate")
-        for g in plan.grids:
-            grids.append(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase,
-                                      _sinc_grid_times(g.rate, g.phase, window)))
-        return SampleSet(n=plan.n, mode="sinc", period=None, window=window, grids=tuple(grids))
+        for g in grids:
+            realized.append(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase,
+                                         _sinc_grid_times(g.rate, g.phase, window)))
+        return SampleSet(n=n, mode="sinc", period=None, window=window, grids=tuple(realized))
     raise ProblemFormatError(f"unknown mode {mode!r}")
 
 
@@ -142,21 +146,8 @@ def redistribute(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence
             raise ProblemFormatError(
                 f"grid at vertex {w} has rate {grid.rate}, expected 2*{vertex_bw[w]}")
     spread_grids, _ = choose_spread(spectrum, lambda0, vertex_bw, v0, v_star)
-    return realize_spread(spread_grids, sample_set)
-
-
-def realize_spread(spread_grids, sample_set: SampleSet) -> SampleSet:
-    """Place a spread construction's grids (see ``planner.choose_spread``) and
-    realize them on ``sample_set``'s domain; the sample rate must not change."""
-    grids = []
-    for g in _place_spread_grids(spread_grids, ()):
-        if sample_set.mode == "periodic":
-            times = _periodic_grid_times(g.rate, g.phase, sample_set.period)
-        else:
-            times = _sinc_grid_times(g.rate, g.phase, sample_set.window)
-        grids.append(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase, times))
-    spread = SampleSet(n=sample_set.n, mode=sample_set.mode, period=sample_set.period,
-                       window=sample_set.window, grids=tuple(grids))
+    spread = _realize(_place_spread_grids(spread_grids, ()), sample_set.n, sample_set.mode,
+                      sample_set.domain)
     if sample_rate(spread) != sample_rate(sample_set):
         raise AssertionError("redistribution changed the sample rate")
     return spread

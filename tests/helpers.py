@@ -7,6 +7,7 @@ import numpy as np
 
 import ctgs
 from ctgs.dependence import x_support
+from ctgs.numerics import is_inf
 
 B_POOL = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
           Fraction(5, 2), Fraction(3), Fraction(4), Fraction(5)]
@@ -77,6 +78,21 @@ def plannable_instances(master_seed, count, n_max=7, max_attempts_factor=8):
             continue
         produced += 1
         yield spectrum, profile, bundle
+
+
+def plannable_at(n, seed, max_attempts=100):
+    """(spectrum, profile) of the first draw at size ``n`` from ``seed`` whose
+    problem plans."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        spectrum = random_spectrum(rng, n)
+        profile = random_profile(rng, n)
+        try:
+            ctgs.plan_problem(spectrum, profile)
+        except ctgs.InfeasibleProblemError:
+            continue
+        return spectrum, profile
+    raise AssertionError(f"no plannable instance at n = {n} in {max_attempts} draws")
 
 
 def independence(spectrum, lambda0, vset):
@@ -156,3 +172,135 @@ def membership_violations_loop(spectrum, profile, signal, tol=ctgs.numerics.COEF
                 bad.append((kind, index, k))
                 break
     return bad
+
+
+# --- per-candidate oracles for the greedy scans ------------------------------
+
+def _by_bw(n, vertex_bw):
+    return sorted(range(n), key=lambda v: (vertex_bw[v], v))
+
+
+def greedy_vertex_set_loop(spectrum, lambda0, vertex_bw):
+    """Oracle for ``greedy_minimal_vertex_set``: vertices in ascending
+    (bandwidth, index) order, each kept unless it depends on the vertices
+    kept before it (one dependence test per vertex)."""
+    target = spectrum.n - len(set(lambda0))
+    chosen = []
+    for v in _by_bw(spectrum.n, vertex_bw):
+        if len(chosen) == target:
+            break
+        if not ctgs.is_dependent(spectrum, lambda0, chosen, v):
+            chosen.append(v)
+    return tuple(sorted(chosen))
+
+
+def _rank_loop(spectrum, freqs, v_inf):
+    chosen = []
+    for f in freqs:
+        if len(chosen) == len(v_inf):
+            break
+        if ctgs.numerics.svd_rank(spectrum.submatrix(chosen + [f], v_inf)) > len(chosen):
+            chosen.append(f)
+    return chosen
+
+
+def check_uniform_loop(spectrum, profile):
+    """Oracle for ``check_uniform`` with infinite vertex bounds:
+    (is_uniform, witness frequencies, bound), each frequency decided by one
+    rank test of the eigenrow block over the infinite-bound vertices."""
+    v_inf = [v for v, b in enumerate(profile.vertex_bw) if is_inf(b)]
+    finite_freqs = [f for f, c in enumerate(profile.freq_bw) if not is_inf(c)]
+    cheapest = _rank_loop(spectrum, sorted(finite_freqs, key=lambda f: (profile.freq_bw[f], f)),
+                          v_inf)
+    if len(cheapest) < len(v_inf):
+        return False, None, ctgs.INF
+    bound = max([b for b in profile.vertex_bw if not is_inf(b)]
+                + [profile.freq_bw[f] for f in cheapest])
+    witness = _rank_loop(spectrum, [f for f in finite_freqs if profile.freq_bw[f] <= bound], v_inf)
+    return True, tuple(witness), bound
+
+
+def _level_candidates(spectrum, profile, filtration, level, current):
+    """Vertices v outside ``current`` that pass the level's per-candidate
+    tests: current + v is a uniqueness set (one SVD) and the peeled
+    coefficient at v does not vanish (one solve)."""
+    step = filtration.step_at(level)
+    lam = filtration.levels[level].lambda0
+    for v in _by_bw(spectrum.n, profile.vertex_bw):
+        if v in current:
+            continue
+        trial = tuple(sorted(current + (v,)))
+        if not ctgs.is_uniqueness_set(spectrum, lam, trial):
+            continue
+        if abs(ctgs.x_vector(spectrum, lam, trial, step.lambda_star)[trial.index(v)]) <= 1e-8:
+            continue
+        yield v, trial
+
+
+def greedy_sequence_loop(spectrum, profile, filtration):
+    """Oracle for the greedy admissible sequence: (v_sets, added), each level
+    adding its first candidate in (bandwidth, index) order; None when a
+    level has none."""
+    current = greedy_vertex_set_loop(spectrum, filtration.levels[0].lambda0, profile.vertex_bw)
+    v_sets, added = [current], []
+    for level in range(1, filtration.depth + 1):
+        choice = next(_level_candidates(spectrum, profile, filtration, level, current), None)
+        if choice is None:
+            return None
+        added.append(choice[0])
+        current = choice[1]
+        v_sets.append(current)
+    return tuple(v_sets), tuple(added)
+
+
+def backtrack_sequence_loop(spectrum, profile, filtration):
+    """Oracle for the backtracking search: (v_sets, added) or None. Level 0
+    tries the minimal-rate uniqueness sets in lexicographic order; each
+    candidate is also tested for its own bandwidth and for the bandwidths
+    of the outside vertices that do not depend on the previous set."""
+    bw = profile.vertex_bw
+    lam00 = filtration.levels[0].lambda0
+
+    def rate(vertices):
+        return 2 * sum((Fraction(bw[v]) for v in vertices), Fraction(0))
+
+    def extend(v_sets, added, level):
+        if level > filtration.depth:
+            return tuple(v_sets), tuple(added)
+        b = filtration.step_at(level).b_star
+        lam = filtration.levels[level].lambda0
+        current = v_sets[-1]
+        for v, trial in _level_candidates(spectrum, profile, filtration, level, current):
+            if Fraction(bw[v]) < b:
+                continue
+            if not ctgs.planner._outside_bw_ok(spectrum, bw, lam, current, trial, b):
+                continue
+            result = extend(v_sets + [trial], added + [v], level + 1)
+            if result is not None:
+                return result
+        return None
+
+    bases = ctgs.enumerate_uniqueness_sets(spectrum, lam00)
+    best = min(rate(c.vertices) for c in bases)
+    for cand in bases:
+        if rate(cand.vertices) == best:
+            result = extend([cand.vertices], [], 1)
+            if result is not None:
+                return result
+    return None
+
+
+def carrier_groups_loop(spectrum, lambda0, vertex_bw, v0, v_star):
+    """Oracle for ``planner._carrier_groups``: each spread vertex joins the
+    group of the last base vertex of its minimal dependent prefix, found by
+    one dependence test per prefix."""
+    ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
+    groups = [[w] for w in ordered]
+    for u in v_star:
+        if u in v0:
+            continue
+        k = next(k for k in range(1, len(ordered) + 1)
+                 if ctgs.is_dependent(spectrum, lambda0, ordered[:k], u))
+        groups[k - 1].append(u)
+    return [(w, tuple(sorted(g))) for w, g in zip(ordered, groups)]
+

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 import ctgs
 from ctgs.numerics import INF
 
-from helpers import check_uniform_exhaustive, random_profile, random_spectrum
+from helpers import (
+    check_uniform_exhaustive,
+    check_uniform_loop,
+    random_profile,
+    random_spectrum,
+)
 
 LAM0_W0 = (0, 1, 2)
 
@@ -52,6 +57,27 @@ def test_check_uniform_matches_exhaustive_oracle():
         cert = ctgs.check_uniform(spectrum, profile)
         assert (cert.is_uniform, cert.witness_freqs, cert.bound) \
             == check_uniform_exhaustive(spectrum, profile)
+        uniform += cert.is_uniform
+    assert uniform >= 50
+
+
+def test_check_uniform_matches_rank_loop_oracle():
+    """Both scans keep the frequencies that one rank test per frequency
+    keeps, on 200 random instances with n <= 12 and infinite vertex bounds,
+    half on unit-weight graphs."""
+    rng = np.random.default_rng(4343)
+    uniform = 0
+    for i in range(200):
+        n = int(rng.integers(2, 13))
+        spectrum = random_spectrum(rng, n, unit_weights=i % 2 == 0)
+        drawn = random_profile(rng, n)
+        v_inf = set(rng.choice(n, size=int(rng.integers(1, n // 2 + 2)), replace=False).tolist())
+        profile = ctgs.BandwidthProfile(
+            tuple(INF if v in v_inf else b for v, b in enumerate(drawn.vertex_bw)),
+            drawn.freq_bw)
+        cert = ctgs.check_uniform(spectrum, profile)
+        assert (cert.is_uniform, cert.witness_freqs, cert.bound) \
+            == check_uniform_loop(spectrum, profile)
         uniform += cert.is_uniform
     assert uniform >= 50
 

@@ -81,7 +81,7 @@ def test_redistribute_computes_one_spread(worked_problem_file, capsys, monkeypat
         calls.append(args)
         return original(*args)
 
-    for module in (ctgs.planner, ctgs.sampling, cli):
+    for module in (ctgs.planner, ctgs.sampling):
         monkeypatch.setattr(module, "choose_spread", counted)
     code, _, _ = _run(capsys, ["redistribute", "--input", worked_problem_file,
                                "--vstar", "v2,v3,v4"])
@@ -102,6 +102,42 @@ def test_redistribute_validates_spread_set_once(worked_problem_file, capsys, mon
                                "--vstar", "v2,v3,v4"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_redistribute_rejects_empty_base_set(tmp_path, capsys):
+    """Every vertex of this plan is dependent on the empty set, so there is
+    no base load to spread."""
+    path = tmp_path / "empty_base.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "B": [5, 1.5], "C": [0, 1.5]}))
+    code, _, err = _run(capsys, ["redistribute", "--input", str(path), "--vstar", "0,1"])
+    assert code == 2
+    assert json.loads(err)["error"]["kind"] == "validation"
+
+
+def test_redistribute_reports_the_spread_the_plan_uses(tmp_path, capsys):
+    """On this path graph the best spread fails its round trip and the
+    runner-up is returned; ``after`` describes the returned plan's base
+    grids."""
+    path = tmp_path / "fallback.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                                "B": [1, 4, 2, 4], "C": ["inf", 6, "inf", "inf"]}))
+    v_star = (0, 1, 2, 3)
+    code, out, _ = _run(capsys, ["redistribute", "--input", str(path), "--vstar", "0,1,2,3"])
+    assert code == 0
+    problem = ctgs.load_problem(str(path))
+    spectrum = ctgs.eigendecompose(problem.shift, tol=problem.options.tolerance)
+    plan = ctgs.plan_problem(spectrum, problem.profile)[4]
+    best = ctgs.planner.choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
+                                      plan.base_vertices, v_star)
+    returned = ctgs.redistribute_plan(plan, spectrum, v_star)
+    assert returned.grids != ctgs.planner._spread_plan(plan, best, v_star).grids
+    base_rates = ctgs.planner.rates_by_vertex(
+        g for g in returned.grids if g.grid_id.startswith("base"))
+    labels = problem.graph.vertex_labels
+    report = reports.parse_report(out)
+    assert report["after"]["rates"] == {labels[v]: r for v, r in sorted(base_rates.items())}
+    assert report["after"]["eccentricity"] \
+        == len(labels) * max(base_rates.values()) / report["after"]["rate"]
 
 
 def test_simulate_builds_csv_artifacts_on_demand(worked_problem_file, capsys, monkeypatch,

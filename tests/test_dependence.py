@@ -3,7 +3,13 @@ import pytest
 
 import ctgs
 
-from helpers import independence, random_profile, random_spectrum
+from helpers import (
+    greedy_vertex_set_loop,
+    independence,
+    random_lambda0,
+    random_profile,
+    random_spectrum,
+)
 
 LAM0_W0 = (0, 1, 2)   # zero-bound frequencies of the worked example's base level
 
@@ -98,6 +104,27 @@ def test_greedy_matches_bruteforce_oracle():
         _, greedy_rate = ctgs.greedy_minimal_vertex_set(spectrum, lam0, profile.vertex_bw)
         _, oracle_rate = ctgs.minimal_rate_bruteforce(spectrum, lam0, profile.vertex_bw)
         assert greedy_rate == oracle_rate
+
+
+def test_greedy_scan_keeps_rows_with_residual_above_component_tol():
+    tol = ctgs.numerics.COMPONENT_TOL
+    for offset, kept in ((10 * tol, [1, 0]), (tol / 10, [1])):
+        rows = np.array([[1.0, 0.0], [1.0, offset]])
+        assert ctgs.dependence.greedy_scan(rows, [1, 0]) == kept
+
+
+def test_greedy_scan_matches_per_vertex_oracle():
+    """The scan keeps the vertices that one dependence test per vertex keeps,
+    on 200 random draws with n <= 12, half on unit-weight graphs (repeated
+    eigenvalues, eigenvectors with exact zeros)."""
+    rng = np.random.default_rng(77)
+    for i in range(200):
+        n = int(rng.integers(2, 13))
+        spectrum = random_spectrum(rng, n, unit_weights=i % 2 == 0)
+        bw = random_profile(rng, n).vertex_bw
+        lam0 = random_lambda0(rng, n)
+        v0, _ = ctgs.greedy_minimal_vertex_set(spectrum, lam0, bw)
+        assert v0.vertices == greedy_vertex_set_loop(spectrum, lam0, bw)
 
 
 def test_dependent_mask_matches_rank_definition():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,11 @@ import ctgs
 from ctgs.numerics import INF, least_period
 
 from helpers import (
+    backtrack_sequence_loop,
+    carrier_groups_loop,
+    greedy_sequence_loop,
+    greedy_vertex_set_loop,
+    plannable_at,
     plannable_instances,
     quotient_bound_bruteforce,
     random_profile,
@@ -190,6 +196,96 @@ def test_random_sequences_pass_verifier():
     for spectrum, profile, bundle in plannable_instances(master_seed=101, count=15):
         _, finite, filtration, seq, _ = bundle
         assert ctgs.verify_admissible_sequence(spectrum, finite, filtration, seq) == []
+
+
+def test_greedy_sequence_matches_per_candidate_oracle():
+    """One dependence mask per level picks the vertex that one uniqueness
+    test and one peeled-coefficient test per candidate pick, on 200 random
+    filtrations with n <= 10, half on unit-weight graphs."""
+    rng = np.random.default_rng(909)
+    checked = 0
+    while checked < 200:
+        n = int(rng.integers(2, 11))
+        spectrum = random_spectrum(rng, n, unit_weights=checked % 2 == 0)
+        profile = random_profile(rng, n)
+        filtration = ctgs.build_filtration(spectrum, profile)
+        if filtration.depth == 0:
+            continue
+        seq = ctgs.planner._greedy_sequence(spectrum, profile, filtration)
+        got = None if seq is None else (seq.v_sets, seq.added)
+        assert got == greedy_sequence_loop(spectrum, profile, filtration)
+        checked += 1
+
+
+def test_backtracking_fallback_finds_verified_sequences(monkeypatch, worked_spectrum,
+                                                        worked_bundle):
+    """With the greedy sequence withheld, the backtracking search returns a
+    sequence that verifies, has the greedy's total rate and is the one the
+    per-candidate oracle finds: the worked example and 60 random instances
+    with n <= 8, half on unit-weight graphs. With every quotient bound raised
+    to the largest vertex bound, the bandwidth tests prune as the oracle's
+    do."""
+    cases = [(worked_spectrum, worked_bundle[1], worked_bundle[2], worked_bundle[3])]
+    rng = np.random.default_rng(1010)
+    while len(cases) < 61:
+        n = int(rng.integers(2, 9))
+        spectrum = random_spectrum(rng, n, unit_weights=len(cases) % 2 == 0)
+        try:
+            _, finite, filtration, seq, _ = ctgs.plan_problem(spectrum, random_profile(rng, n))
+        except ctgs.InfeasibleProblemError:
+            continue
+        cases.append((spectrum, finite, filtration, seq))
+    monkeypatch.setattr(ctgs.planner, "_greedy_sequence", lambda *args: None)
+    for spectrum, finite, filtration, greedy in cases:
+        seq = ctgs.find_admissible_sequence(spectrum, finite, filtration)
+        assert seq is not None
+        assert ctgs.verify_admissible_sequence(spectrum, finite, filtration, seq) == []
+        assert seq.base_rate + sum(seq.quotient_rates) \
+            == greedy.base_rate + sum(greedy.quotient_rates)
+        assert (seq.v_sets, seq.added) == backtrack_sequence_loop(spectrum, finite, filtration)
+        top = max(finite.vertex_bw)
+        raised = replace(filtration, steps=tuple(replace(s, b_star=top) for s in filtration.steps))
+        seq = ctgs.planner._backtrack_sequence(spectrum, finite, raised)
+        got = None if seq is None else (seq.v_sets, seq.added)
+        assert got == backtrack_sequence_loop(spectrum, finite, raised)
+
+
+def test_carrier_groups_match_per_prefix_oracle():
+    """One dependence mask per base prefix groups the spread vertices as one
+    dependence test per (vertex, prefix) does, on 200 random spread sets
+    with n <= 10, half on unit-weight graphs."""
+    rng = np.random.default_rng(808)
+    checked = 0
+    while checked < 200:
+        n = int(rng.integers(2, 11))
+        spectrum = random_spectrum(rng, n, unit_weights=checked % 2 == 0)
+        profile = random_profile(rng, n)
+        lam0, bw = profile.lambda0(), profile.vertex_bw
+        v0 = greedy_vertex_set_loop(spectrum, lam0, bw)
+        if not v0:
+            continue
+        extra = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+        v_star = tuple(sorted(set(v0) | set(extra)))
+        assert ctgs.planner._carrier_groups(spectrum, lam0, bw, v0, v_star) \
+            == carrier_groups_loop(spectrum, lam0, bw, v0, v_star)
+        checked += 1
+
+
+def test_plan_n60_svd_count(monkeypatch):
+    """The greedy scans make no SVD, so one plan_problem at n = 60 makes at
+    most 5 per filtration level plus 5."""
+    spectrum, profile = plannable_at(60, seed=60)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _, _, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
+    assert filtration.depth >= 10
+    assert len(calls) <= 5 * (filtration.depth + 1)
 
 
 def test_n40_problem_plans_and_round_trips():
