@@ -12,9 +12,9 @@ from fractions import Fraction
 from . import reports
 from .bandwidth import TIGHTEN_GUARD, check_uniform, finitize, is_tight, tighten
 from .errors import CtgsError, InfeasibleProblemError, ProblemFormatError
-from .numerics import json_to_number, least_period
+from .numerics import least_period
 from .planner import plan_problem, redistribute_plan
-from .problems import load_problem
+from .problems import check_seed, check_tolerance, load_problem, parse_period, parse_window
 from .sampling import (
     build_sample_set,
     eccentricity,
@@ -62,18 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_options(problem, args):
     opts = problem.options
     mode = args.mode or opts.mode
-    seed = args.seed if args.seed is not None else opts.seed
-    tolerance = args.tolerance if args.tolerance is not None else opts.tolerance
-    period = opts.period
-    if args.period is not None:
-        period = Fraction(json_to_number(args.period, "--period"))
+    seed = opts.seed if args.seed is None else check_seed(args.seed, "--seed")
+    tolerance = (opts.tolerance if args.tolerance is None
+                 else check_tolerance(args.tolerance, "--tolerance"))
+    period = opts.period if args.period is None else parse_period(args.period, "--period")
     window = opts.window
     if args.window is not None:
         parts = args.window.split(",")
         if len(parts) != 2:
             raise ProblemFormatError("window must be 't0,t1'", "--window")
-        window = (Fraction(json_to_number(parts[0].strip(), "--window")),
-                  Fraction(json_to_number(parts[1].strip(), "--window")))
+        window = parse_window(parts, ("--window", "--window"), "--window")
     return mode, period, window, seed, tolerance
 
 

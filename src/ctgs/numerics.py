@@ -69,12 +69,7 @@ def as_bandwidth(value, pointer=""):
             return INF
         if math.isnan(value):
             raise ProblemFormatError("bandwidth must not be NaN", pointer)
-        frac = Fraction(value).limit_denominator(_FLOAT_TO_FRACTION_MAX_DEN)
-        if abs(float(frac) - value) > 1e-12 * max(1.0, abs(value)):
-            warnings.warn(
-                f"bandwidth {value!r} is not exactly rational; rounded to {frac}",
-                stacklevel=2,
-            )
+        frac = _snap_float(value, "bandwidth")
     else:
         raise ProblemFormatError(f"bandwidth must be a number or 'inf', got {type(value).__name__}", pointer)
     if frac < 0:
@@ -96,18 +91,28 @@ def bandwidth_to_json(value):
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def json_to_number(value, pointer=""):
-    """Parse a number emitted by :func:`bandwidth_to_json` (or a plain one)."""
+def _snap_float(value: float, what: str) -> Fraction:
+    frac = Fraction(value).limit_denominator(_FLOAT_TO_FRACTION_MAX_DEN)
+    if abs(float(frac) - value) > 1e-12 * max(1.0, abs(value)):
+        warnings.warn(f"{what} {value!r} is not exactly rational; rounded to {frac}",
+                      stacklevel=3)
+    return frac
+
+
+def as_time(value, pointer=""):
+    """Coerce a JSON-ish value to a finite signed rational time (a period or
+    a window end): an int, a finite float (snapped like a bandwidth), a
+    ``Fraction`` or an exact decimal or ``"p/q"`` string."""
     from .errors import ProblemFormatError
 
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity"):
-            return INF
+    if isinstance(value, float) and math.isfinite(value):
+        return _snap_float(value, "time")
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemFormatError(f"bad numeric literal {value!r}", pointer) from exc
-    return as_bandwidth(value, pointer)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ProblemFormatError(f"time must be a finite number or 'p/q', got {value!r}", pointer)
 
 
 def harmonic_cutoff(bound, period) -> int:
@@ -126,14 +131,6 @@ def harmonic_cutoff(bound, period) -> int:
 def n_trig_coeffs(cutoff: int) -> int:
     """Real degrees of freedom of a trig polynomial with top harmonic ``cutoff``."""
     return 0 if cutoff < 0 else 2 * cutoff + 1
-
-
-def grid_points_per_period(rate, period) -> int:
-    """Number of samples one uniform rate-``rate`` grid puts in one period."""
-    count = Fraction(rate) * Fraction(period)
-    if count.denominator != 1:
-        raise ValueError(f"rate*period = {count} is not integral")
-    return int(count)
 
 
 def least_period(rates) -> Fraction:

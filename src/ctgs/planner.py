@@ -21,7 +21,6 @@ import numpy as np
 from .bandwidth import BandwidthProfile, validate_profile
 from .dependence import (
     dependent_mask,
-    enumerate_uniqueness_sets,
     extension_matrix,
     greedy_minimal_vertex_set,
     is_uniqueness_set,
@@ -31,8 +30,6 @@ from .dependence import (
 from .errors import InfeasibleProblemError, ProblemFormatError
 from .numerics import is_inf
 from .spectral import Spectrum
-
-BACKTRACK_GUARD = 10
 
 
 def select_lambda_star(freq_bw: Sequence) -> Optional[int]:
@@ -165,10 +162,6 @@ class AdmissibleSequence:
     quotient_rates: tuple     # 2 * b_i
 
 
-def _level_b(filtration: Filtration, level: int) -> Fraction:
-    return filtration.step_at(level).b_star
-
-
 def _x_at(spectrum, lambda0, vset, lambda_star, vertex) -> float:
     vs = sorted(vset)
     x = x_vector(spectrum, lambda0, vs, lambda_star)
@@ -230,86 +223,43 @@ def verify_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
     return problems
 
 
-def _sequence_from_sets(profile, filtration, v_sets, added) -> AdmissibleSequence:
-    base_rate = 2 * sum((Fraction(profile.vertex_bw[v]) for v in v_sets[0]), Fraction(0))
-    rates = tuple(2 * _level_b(filtration, i) for i in range(1, filtration.depth + 1))
-    return AdmissibleSequence(v_sets=tuple(tuple(sorted(s)) for s in v_sets),
-                              added=tuple(added), base_rate=base_rate, quotient_rates=rates)
-
-
-def _greedy_sequence(spectrum, profile, filtration) -> Optional[AdmissibleSequence]:
-    """Each level adds the first vertex in (bandwidth, index) order that does
-    not depend on the previous set: V_{i-1} + v is a uniqueness set at level
-    i exactly then, and the peeled transform cannot vanish at such a v."""
-    bw = profile.vertex_bw
-    v0, _ = greedy_minimal_vertex_set(spectrum, filtration.levels[0].lambda0, bw)
-    order = sorted(range(spectrum.n), key=lambda v: (bw[v], v))
-    v_sets = [tuple(v0.vertices)]
-    added = []
-    for i in range(1, filtration.depth + 1):
-        dependent = dependent_mask(spectrum, filtration.levels[i].lambda0, v_sets[-1])
-        choice = next((v for v in order if not dependent[v]), None)
-        if choice is None:
-            return None
-        v_sets.append(tuple(sorted(v_sets[-1] + (choice,))))
-        added.append(choice)
-    return _sequence_from_sets(profile, filtration, v_sets, added)
-
-
-def _backtrack_sequence(spectrum, profile, filtration) -> Optional[AdmissibleSequence]:
-    lam00 = filtration.levels[0].lambda0
-    _, best_rate = greedy_minimal_vertex_set(spectrum, lam00, profile.vertex_bw)
-    minimal_sets = [
-        cand.vertices for cand in enumerate_uniqueness_sets(spectrum, lam00)
-        if 2 * sum((Fraction(profile.vertex_bw[v]) for v in cand.vertices), Fraction(0)) == best_rate
-    ]
-    k = filtration.depth
-    bw = profile.vertex_bw
-    order = sorted(range(spectrum.n), key=lambda v: (bw[v], v))
-
-    def extend(v_sets, added, level):
-        if level > k:
-            return v_sets, added
-        b = _level_b(filtration, level)
-        dependent = dependent_mask(spectrum, filtration.levels[level].lambda0, v_sets[-1])
-        candidates = [v for v in order if not dependent[v]]
-        # the candidates are exactly the outside vertices that do not depend
-        # on the previous set, so the new-vertex and outside bandwidth tests
-        # are one test per node
-        if any(Fraction(bw[v]) < b for v in candidates):
-            return None
-        for v in candidates:
-            result = extend(v_sets + [tuple(sorted(v_sets[-1] + (v,)))], added + [v], level + 1)
-            if result is not None:
-                return result
-        return None
-
-    for v0 in minimal_sets:
-        result = extend([tuple(v0)], [], 1)
-        if result is not None:
-            v_sets, added = result
-            return _sequence_from_sets(profile, filtration, v_sets, added)
-    return None
-
-
 def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
-                             filtration: Filtration) -> Optional[AdmissibleSequence]:
-    """Greedy search with a verified result, then bounded backtracking.
+                             filtration: Filtration) -> AdmissibleSequence:
+    """The admissible sequence is the filtration's chain of greedy bases.
 
-    Absence (None) is a valid outcome; the caller decides whether that is an
-    error. Every returned sequence passes the independent verifier.
+    V_0 is the level-0 greedy minimal-rate basis, V_i the basis
+    ``quotient_bound`` chose at level i, and v_i the one vertex of
+    V_i - V_{i-1}. The chain is always admissible:
+
+    * Setup. M_i is level i's dependence matroid and phi the transform
+      peeled at level i, so M_{i-1} = (M_i + phi) / phi. G_j is the greedy
+      basis of M_j in ascending (B, index) order.
+    * The bases nest. G_{i-1} + phi is the greedy basis of M_i + phi with
+      phi scanned first; moving phi to the end changes one element, so
+      G_i = G_{i-1} + v_i with v_i the first vertex outside cl_i(G_{i-1}).
+    * Admissibility needs T = {w : B_w < b_i}, a prefix of the order, inside
+      cl_i(G_{i-1}). b_i is the least threshold whose set spans phi (the C
+      cap only lowers it), so phi is not in cl(T) and r_{i-1}(T) = r_i(T);
+      G_{i-1} & T, a basis of T in M_{i-1} independent in M_i, spans T in M_i.
+    * The rest follows: v_i's peeled coefficient is nonzero and B_{v_i} >= b_i.
+
+    The independent verifier re-checks the chain; a failure can only be a
+    numerical breakdown and raises InfeasibleProblemError naming the level.
     """
-    seq = _greedy_sequence(spectrum, profile, filtration)
-    if seq is not None and not verify_admissible_sequence(spectrum, profile, filtration, seq):
-        return seq
-    if spectrum.n <= BACKTRACK_GUARD:
-        seq = _backtrack_sequence(spectrum, profile, filtration)
-        if seq is not None:
-            leftover = verify_admissible_sequence(spectrum, profile, filtration, seq)
-            if leftover:
-                raise AssertionError(f"backtracking produced an inadmissible sequence: {leftover}")
-            return seq
-    return None
+    v0, base_rate = greedy_minimal_vertex_set(spectrum, filtration.levels[0].lambda0,
+                                              profile.vertex_bw)
+    v_sets = (v0.vertices,) + tuple(filtration.step_at(i).chosen_v0
+                                    for i in range(1, filtration.depth + 1))
+    # no single new vertex only when the chain breaks, which the verifier names
+    added = tuple(min(set(cur) - set(prev), default=None)
+                  for prev, cur in zip(v_sets, v_sets[1:]))
+    seq = AdmissibleSequence(v_sets=v_sets, added=added, base_rate=base_rate,
+                             quotient_rates=tuple(2 * b for b in filtration.quotient_bandwidths))
+    failures = verify_admissible_sequence(spectrum, profile, filtration, seq)
+    if failures:
+        raise InfeasibleProblemError(
+            "greedy basis chain is not an admissible sequence: " + "; ".join(failures))
+    return seq
 
 
 # --- sampling plans -------------------------------------------------------
@@ -524,8 +474,6 @@ def plan_problem(spectrum: Spectrum, profile: BandwidthProfile):
     finite = finitize(spectrum, profile, cert)
     filtration = build_filtration(spectrum, finite)
     seq = find_admissible_sequence(spectrum, finite, filtration)
-    if seq is None:
-        raise InfeasibleProblemError("no admissible vertex sequence found")
     plan = make_plan(spectrum, finite, filtration, seq)
     return cert, finite, filtration, seq, plan
 

@@ -21,6 +21,7 @@ field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -29,7 +30,7 @@ import numpy as np
 
 from .bandwidth import BandwidthProfile
 from .errors import ProblemFormatError
-from .numerics import json_to_number
+from .numerics import as_time
 from .spectral import GraphModel, ShiftOperator, build_shift_operator
 
 
@@ -60,6 +61,35 @@ def _require(doc: dict, key: str, kind, pointer: str):
     return value
 
 
+# Run options come from the file's "options" object or from CLI flags; both
+# go through these checks, each failure pointing at the field or flag.
+
+def parse_period(value, pointer: str) -> Fraction:
+    period = as_time(value, pointer)
+    if period <= 0:
+        raise ProblemFormatError("period must be positive", pointer)
+    return period
+
+
+def parse_window(ends, end_pointers, pointer: str) -> tuple:
+    window = tuple(as_time(t, p) for t, p in zip(ends, end_pointers))
+    if window[1] <= window[0]:
+        raise ProblemFormatError("window must satisfy t0 < t1", pointer)
+    return window
+
+
+def check_seed(seed, pointer: str) -> int:
+    if not isinstance(seed, int) or seed < 0:
+        raise ProblemFormatError("seed must be a non-negative integer", pointer)
+    return seed
+
+
+def check_tolerance(tolerance, pointer: str) -> float:
+    if not isinstance(tolerance, (int, float)) or not 0 < tolerance < math.inf:
+        raise ProblemFormatError("tolerance must be a positive finite number", pointer)
+    return float(tolerance)
+
+
 def parse_problem(text: str) -> Problem:
     """Parse and fully validate a problem document."""
     try:
@@ -80,7 +110,13 @@ def parse_problem(text: str) -> Problem:
     if isinstance(shift_field, str):
         shift = build_shift_operator(graph, shift_field)
     elif isinstance(shift_field, dict) and "matrix" in shift_field:
-        matrix = np.asarray(shift_field["matrix"], dtype=float)
+        try:
+            matrix = np.asarray(shift_field["matrix"], dtype=float)
+        except (TypeError, ValueError):
+            raise ProblemFormatError("shift matrix must be a square list of number lists",
+                                     "/shift/matrix") from None
+        if not np.isfinite(matrix).all():
+            raise ProblemFormatError("shift matrix entries must be finite", "/shift/matrix")
         shift = build_shift_operator(graph, "custom", custom_matrix=matrix)
     else:
         raise ProblemFormatError('shift must be "laplacian", "adjacency" or {"matrix": ...}', "/shift")
@@ -101,23 +137,15 @@ def parse_problem(text: str) -> Problem:
         raise ProblemFormatError('mode must be "periodic" or "sinc"', "/options/mode")
     period = opts.get("period")
     if period is not None:
-        period = Fraction(json_to_number(period, "/options/period"))
-        if period <= 0:
-            raise ProblemFormatError("period must be positive", "/options/period")
+        period = parse_period(period, "/options/period")
     window = opts.get("window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2):
             raise ProblemFormatError("window must be [t0, t1]", "/options/window")
-        window = (Fraction(json_to_number(window[0], "/options/window/0")),
-                  Fraction(json_to_number(window[1], "/options/window/1")))
-        if window[1] <= window[0]:
-            raise ProblemFormatError("window must satisfy t0 < t1", "/options/window")
-    seed = opts.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ProblemFormatError("seed must be an integer", "/options/seed")
-    tolerance = opts.get("tolerance", 1e-10)
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise ProblemFormatError("tolerance must be a positive number", "/options/tolerance")
+        window = parse_window(window, ("/options/window/0", "/options/window/1"),
+                              "/options/window")
+    seed = check_seed(opts.get("seed", 0), "/options/seed")
+    tolerance = check_tolerance(opts.get("tolerance", 1e-10), "/options/tolerance")
     v_star = opts.get("v_star")
     if v_star is not None:
         if not (isinstance(v_star, list) and all(isinstance(v, int) for v in v_star)):
@@ -128,7 +156,7 @@ def parse_problem(text: str) -> Problem:
         v_star = tuple(sorted(set(v_star)))
 
     options = RunOptions(mode=mode, period=period, window=window, seed=seed,
-                         tolerance=float(tolerance), v_star=v_star)
+                         tolerance=tolerance, v_star=v_star)
     return Problem(graph=graph, shift=shift, profile=profile, options=options)
 
 

@@ -142,9 +142,6 @@ class Spectrum:
         verts = list(vertices)
         return self.basis[np.ix_(freqs, verts)] if freqs and verts else np.zeros((len(freqs), len(verts)))
 
-    def frequency_label(self, frequency: int) -> str:
-        return f"lambda{frequency + 1}"
-
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
     """Flip each row so its first non-negligible entry is positive."""

@@ -254,8 +254,9 @@ def greedy_sequence_loop(spectrum, profile, filtration):
 
 
 def backtrack_sequence_loop(spectrum, profile, filtration):
-    """Oracle for the backtracking search: (v_sets, added) or None. Level 0
-    tries the minimal-rate uniqueness sets in lexicographic order; each
+    """Exhaustive search for an admissible sequence: (v_sets, added) or
+    None. Level 0 tries the minimal-rate uniqueness sets in lexicographic
+    order; each
     candidate is also tested for its own bandwidth and for the bandwidths
     of the outside vertices that do not depend on the previous set."""
     bw = profile.vertex_bw

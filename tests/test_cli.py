@@ -7,6 +7,8 @@ import pytest
 import ctgs
 from ctgs import cli, reports
 
+from conftest import WORKED_B, WORKED_C, WORKED_EDGES
+
 
 def _run(capsys, argv):
     code = cli.run(argv)
@@ -229,6 +231,60 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"]["kind"] == "infeasible"
+
+
+def test_inadmissible_greedy_chain_exits_infeasible(worked_problem_file, capsys, monkeypatch):
+    """A verifier failure on the greedy chain (only a numerical breakdown can
+    cause one) exits 3 and names the failing level."""
+    monkeypatch.setattr(ctgs.planner, "verify_admissible_sequence",
+                        lambda *args: ["level 2: not a uniqueness set"])
+    code, _, err = _run(capsys, ["plan", "--input", worked_problem_file])
+    assert code == 3
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "infeasible"
+    assert "level 2" in payload["message"]
+
+
+def _worked_text(**fields):
+    return json.dumps({"n": 5, "edges": WORKED_EDGES, "B": WORKED_B, "C": WORKED_C, **fields})
+
+
+@pytest.mark.parametrize("text, flags, pointer", [
+    (_worked_text(shift={"matrix": "abc"}), [], "/shift/matrix"),
+    (_worked_text(shift={"matrix": [[1, 2], [3]]}), [], "/shift/matrix"),
+    (_worked_text(), ["--period", "inf"], "--period"),
+    (_worked_text(options={"period": "inf"}), [], "/options/period"),
+    (_worked_text()[:-1] + ', "options": {"period": Infinity}}', [], "/options/period"),
+    (_worked_text(), ["--mode", "sinc", "--window=-1,inf"], "--window"),
+    (_worked_text(options={"seed": -1}), [], "/options/seed"),
+    (_worked_text(), ["--seed", "-1"], "--seed"),
+    (_worked_text(), ["--tolerance", "nan"], "--tolerance"),
+    (_worked_text(), ["--tolerance", "0"], "--tolerance"),
+    (_worked_text(), ["--tolerance", "-1"], "--tolerance"),
+    (_worked_text()[:-1] + ', "options": {"tolerance": NaN}}', [], "/options/tolerance"),
+], ids=["shift-string", "shift-ragged", "period-flag-inf", "period-option-inf",
+        "period-option-float-inf", "window-flag-inf", "seed-option-negative", "seed-flag-negative", "tolerance-flag-nan",
+        "tolerance-flag-zero", "tolerance-flag-negative", "tolerance-option-nan"])
+def test_bad_option_exits_validation(tmp_path, capsys, text, flags, pointer):
+    path = tmp_path / "bad_option.json"
+    path.write_text(text)
+    code, _, err = _run(capsys, ["simulate", "--input", str(path)] + flags)
+    assert code == 2
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation"
+    assert payload["pointer"] == pointer
+
+
+def test_numeric_window_reports_like_string_window(tmp_path, capsys):
+    outs = []
+    for window in ([-5, 5], ["-5", "5"]):
+        path = tmp_path / "window.json"
+        path.write_text(_worked_text(options={"mode": "sinc", "window": window}))
+        code, out, err = _run(capsys, ["simulate", "--input", str(path)])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert reports.parse_report(outs[0])["window"] == [-5, 5]
 
 
 def test_output_directory_artifacts(worked_problem_file, tmp_path, capsys):

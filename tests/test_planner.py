@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -199,9 +198,10 @@ def test_random_sequences_pass_verifier():
 
 
 def test_greedy_sequence_matches_per_candidate_oracle():
-    """One dependence mask per level picks the vertex that one uniqueness
-    test and one peeled-coefficient test per candidate pick, on 200 random
-    filtrations with n <= 10, half on unit-weight graphs."""
+    """The filtration's chain of greedy bases adds at each level the vertex
+    that one uniqueness test and one peeled-coefficient test per candidate
+    pick, on 200 random filtrations with n <= 10, half on unit-weight
+    graphs."""
     rng = np.random.default_rng(909)
     checked = 0
     while checked < 200:
@@ -211,43 +211,35 @@ def test_greedy_sequence_matches_per_candidate_oracle():
         filtration = ctgs.build_filtration(spectrum, profile)
         if filtration.depth == 0:
             continue
-        seq = ctgs.planner._greedy_sequence(spectrum, profile, filtration)
-        got = None if seq is None else (seq.v_sets, seq.added)
-        assert got == greedy_sequence_loop(spectrum, profile, filtration)
+        seq = ctgs.find_admissible_sequence(spectrum, profile, filtration)
+        assert (seq.v_sets, seq.added) == greedy_sequence_loop(spectrum, profile, filtration)
         checked += 1
 
 
-def test_backtracking_fallback_finds_verified_sequences(monkeypatch, worked_spectrum,
-                                                        worked_bundle):
-    """With the greedy sequence withheld, the backtracking search returns a
-    sequence that verifies, has the greedy's total rate and is the one the
-    per-candidate oracle finds: the worked example and 60 random instances
-    with n <= 8, half on unit-weight graphs. With every quotient bound raised
-    to the largest vertex bound, the bandwidth tests prune as the oracle's
-    do."""
-    cases = [(worked_spectrum, worked_bundle[1], worked_bundle[2], worked_bundle[3])]
+def test_greedy_chain_is_admissible_whenever_any_sequence_is(worked_spectrum, worked_bundle):
+    """Wherever the exhaustive backtracking oracle finds an admissible
+    sequence, the filtration's chain of greedy bases verifies and has the
+    same total rate: the worked example and 60 random instances with n <= 8,
+    half on unit-weight graphs."""
+    cases = [(worked_spectrum, worked_bundle[1], worked_bundle[2])]
     rng = np.random.default_rng(1010)
     while len(cases) < 61:
         n = int(rng.integers(2, 9))
         spectrum = random_spectrum(rng, n, unit_weights=len(cases) % 2 == 0)
-        try:
-            _, finite, filtration, seq, _ = ctgs.plan_problem(spectrum, random_profile(rng, n))
-        except ctgs.InfeasibleProblemError:
+        profile = random_profile(rng, n)
+        cert = ctgs.check_uniform(spectrum, profile)
+        if not cert.is_uniform:
             continue
-        cases.append((spectrum, finite, filtration, seq))
-    monkeypatch.setattr(ctgs.planner, "_greedy_sequence", lambda *args: None)
-    for spectrum, finite, filtration, greedy in cases:
+        finite = ctgs.finitize(spectrum, profile, cert)
+        cases.append((spectrum, finite, ctgs.build_filtration(spectrum, finite)))
+    for spectrum, finite, filtration in cases:
+        found = backtrack_sequence_loop(spectrum, finite, filtration)
+        assert found is not None
+        found_rate = 2 * sum((Fraction(finite.vertex_bw[v]) for v in found[0][0]), Fraction(0)) \
+            + 2 * sum(filtration.quotient_bandwidths, Fraction(0))
         seq = ctgs.find_admissible_sequence(spectrum, finite, filtration)
-        assert seq is not None
         assert ctgs.verify_admissible_sequence(spectrum, finite, filtration, seq) == []
-        assert seq.base_rate + sum(seq.quotient_rates) \
-            == greedy.base_rate + sum(greedy.quotient_rates)
-        assert (seq.v_sets, seq.added) == backtrack_sequence_loop(spectrum, finite, filtration)
-        top = max(finite.vertex_bw)
-        raised = replace(filtration, steps=tuple(replace(s, b_star=top) for s in filtration.steps))
-        seq = ctgs.planner._backtrack_sequence(spectrum, finite, raised)
-        got = None if seq is None else (seq.v_sets, seq.added)
-        assert got == backtrack_sequence_loop(spectrum, finite, raised)
+        assert seq.base_rate + sum(seq.quotient_rates) == found_rate
 
 
 def test_carrier_groups_match_per_prefix_oracle():
@@ -272,8 +264,9 @@ def test_carrier_groups_match_per_prefix_oracle():
 
 
 def test_plan_n60_svd_count(monkeypatch):
-    """The greedy scans make no SVD, so one plan_problem at n = 60 makes at
-    most 5 per filtration level plus 5."""
+    """The greedy scans make no SVD, so one plan_problem at n = 60 makes
+    3 per filtration level plus 3: one uniqueness check per greedy basis,
+    and the verifier's uniqueness test and null space per level."""
     spectrum, profile = plannable_at(60, seed=60)
     calls = []
     svd = np.linalg.svd
@@ -285,7 +278,7 @@ def test_plan_n60_svd_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     _, _, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
     assert filtration.depth >= 10
-    assert len(calls) <= 5 * (filtration.depth + 1)
+    assert len(calls) <= 3 * (filtration.depth + 1)
 
 
 def test_n40_problem_plans_and_round_trips():
