@@ -5,9 +5,9 @@
 
 For n = 20, 40, ... up to --nmax, takes the first plannable random instance
 drawn with seed n from the tests/helpers.py generators, and prints the
-filtration depth, the wall time of one ``plan_problem`` call and the number
-of ``np.linalg.svd`` calls it makes. The SVD count does not depend on the
-hardware.
+filtration depth, the wall time of one ``plan_problem`` call and the numbers
+of ``np.linalg.svd`` and ``np.linalg.solve`` calls it makes. The counts do
+not depend on the hardware.
 """
 
 import argparse
@@ -23,34 +23,42 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from helpers import plannable_at  # noqa: E402
 
 
-def measure(n):
-    """(depth, seconds, SVD calls) of one plan_problem at size n."""
-    spectrum, profile = plannable_at(n, seed=n)
-    svd = np.linalg.svd
-    calls = []
+def _counted(name, calls):
+    original = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+        calls[name] += 1
+        return original(*args, **kwargs)
 
-    np.linalg.svd = counted
+    return original, counted
+
+
+def measure(n):
+    """(depth, seconds, SVD calls, solve calls) of one plan_problem at size n."""
+    spectrum, profile = plannable_at(n, seed=n)
+    calls = {"svd": 0, "solve": 0}
+    originals = {}
+    for name in calls:
+        originals[name], counted = _counted(name, calls)
+        setattr(np.linalg, name, counted)
     try:
         start = time.perf_counter()
         _, _, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
         seconds = time.perf_counter() - start
     finally:
-        np.linalg.svd = svd
-    return filtration.depth, seconds, len(calls)
+        for name, original in originals.items():
+            setattr(np.linalg, name, original)
+    return filtration.depth, seconds, calls["svd"], calls["solve"]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nmax", type=int, default=120, help="largest n (default 120)")
     args = parser.parse_args(argv)
-    print(f"{'n':>5} {'depth':>6} {'plan_problem':>13} {'SVDs':>7}")
+    print(f"{'n':>5} {'depth':>6} {'plan_problem':>13} {'SVDs':>7} {'solves':>7}")
     for n in range(20, args.nmax + 1, 20):
-        depth, seconds, svds = measure(n)
-        print(f"{n:>5} {depth:>6} {seconds:>12.3f}s {svds:>7}")
+        depth, seconds, svds, solves = measure(n)
+        print(f"{n:>5} {depth:>6} {seconds:>12.3f}s {svds:>7} {solves:>7}")
     return 0
 
 

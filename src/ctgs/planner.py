@@ -52,6 +52,7 @@ class ReductionStep:
     b_star: Fraction
     lambda0: tuple            # zero-bound frequencies at selection time
     chosen_v0: tuple          # uniqueness set achieving the minimal quotient bound
+    extension: np.ndarray     # n x |chosen_v0|: extends chosen_v0 values under lambda0
     x_vec: np.ndarray         # transform coefficients over chosen_v0
     child_freq_bw: tuple
 
@@ -91,23 +92,25 @@ class Filtration:
 
 
 def quotient_bound(spectrum: Spectrum, profile: BandwidthProfile, lambda_star: int):
-    """Quotient bound exposed by peeling ``lambda_star``: (b, basis, x-vector).
+    """Quotient bound exposed by peeling ``lambda_star``: (b, basis, extension).
 
     The bound is the minimum over all uniqueness sets of the largest vertex
     bound that actually contributes to the peeled transform, capped by the
     peeled frequency's own bound. The greedy minimal-rate basis attains it:
     its prefixes span every threshold set {v : B_v <= b}, so its x-vector is
     supported on the smallest threshold set whose span reaches the peeled
-    transform (Edmonds' greedy theorem on the dependence matroid).
+    transform (Edmonds' greedy theorem on the dependence matroid). The
+    extension map over the basis is the level's one solve; its x-vector is
+    ``row(lambda_star) @ extension``.
     """
     lambda0 = profile.lambda0()
     basis, _ = greedy_minimal_vertex_set(spectrum, lambda0, profile.vertex_bw)
-    x = x_vector(spectrum, lambda0, basis, lambda_star)
-    support = x_support(x)
+    extension = extension_matrix(spectrum, lambda0, basis)
+    support = x_support(spectrum.row(lambda_star) @ extension)
     if not support.any():
         raise AssertionError("transform vector vanished entirely; numerical breakdown")
     bound = max(Fraction(profile.vertex_bw[v]) for v, hit in zip(basis.vertices, support) if hit)
-    return min(bound, Fraction(profile.freq_bw[lambda_star])), basis, x
+    return min(bound, Fraction(profile.freq_bw[lambda_star])), basis, extension
 
 
 def reduction_step(spectrum: Spectrum, profile: BandwidthProfile, level: int = 0) -> ReductionStep:
@@ -122,10 +125,11 @@ def reduction_step(spectrum: Spectrum, profile: BandwidthProfile, level: int = 0
     lam = select_lambda_star(profile.freq_bw)
     if lam is None:
         raise InfeasibleProblemError("frequency bandwidths are already simple; nothing to reduce")
-    b_star, chosen, x = quotient_bound(spectrum, profile, lam)
+    b_star, chosen, extension = quotient_bound(spectrum, profile, lam)
     child = profile.with_freq_zeroed(lam)
     return ReductionStep(level=level, lambda_star=lam, b_star=b_star, lambda0=profile.lambda0(),
-                         chosen_v0=chosen.vertices, x_vec=x, child_freq_bw=child.freq_bw)
+                         chosen_v0=chosen.vertices, extension=extension,
+                         x_vec=spectrum.row(lam) @ extension, child_freq_bw=child.freq_bw)
 
 
 def build_filtration(spectrum: Spectrum, profile: BandwidthProfile) -> Filtration:
@@ -266,17 +270,12 @@ def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
 
 @dataclass(frozen=True, eq=False)
 class LevelSpec:
-    """Cached per-level recovery data: who carries the quotient, and how
-    the recovered scalar extends to the rest of the graph."""
+    """A quotient level of a plan: its filtration step, whose extension map
+    says how the recovered scalar reaches the rest of the graph, and the
+    vertex ``vertex`` that carries it."""
 
-    level: int
+    step: ReductionStep
     vertex: int
-    b: Fraction
-    lambda_star: int
-    lambda0: tuple
-    v_set: tuple
-    extension: np.ndarray     # n x |v_set|
-    col: int                  # column of ``vertex`` inside v_set
 
 
 @dataclass(frozen=True)
@@ -333,7 +332,7 @@ class SamplingPlan:
     def unknowns(self) -> tuple:
         """Unknown blocks in plan order: base vertices, then levels ascending."""
         return (tuple(("base", w) for w in self.base_vertices)
-                + tuple(("level", spec.level) for spec in self.levels))
+                + tuple(("level", spec.step.level) for spec in self.levels))
 
     def base_col(self, vertex: int) -> int:
         return self.base_vertices.index(vertex)
@@ -351,7 +350,7 @@ class SamplingPlan:
         kind, key = unknown
         if kind == "base":
             return Fraction(self.vertex_bw[key])
-        return self.level_spec(key).b
+        return self.level_spec(key).step.b_star
 
     def extension_column(self, unknown) -> np.ndarray:
         """How an unknown block's scalar content extends to every vertex."""
@@ -359,7 +358,7 @@ class SamplingPlan:
         if kind == "base":
             return self.base_extension[:, self.base_col(key)]
         spec = self.level_spec(key)
-        return spec.extension[:, spec.col]
+        return spec.step.extension[:, spec.step.chosen_v0.index(spec.vertex)]
 
     def visibility(self, unknown, vertex: int) -> float:
         """Scale with which an unknown block's content shows up at a vertex."""
@@ -371,7 +370,12 @@ VISIBILITY_TOL = 1e-10
 
 def _compute_stages(plan: SamplingPlan) -> tuple:
     """Initial per-unknown stages, merged until no stage's grids can see an
-    unknown that is neither already solved nor part of the stage."""
+    unknown of a later stage.
+
+    A merge into stage i only regroups the stages after i, so one forward
+    pass suffices: stage i absorbs, in order, every later stage holding an
+    unknown its grids see, and is re-checked until it sees none.
+    """
     stages = [Stage(unknowns=(("base", w),), grid_ids=tuple(gids))
               for w, gids in plan.base_stages]
     level_grid_ids: dict = {}
@@ -380,39 +384,22 @@ def _compute_stages(plan: SamplingPlan) -> tuple:
             level = int(g.grid_id.split(":")[1])
             level_grid_ids.setdefault(level, []).append(g.grid_id)
     for spec in plan.levels:
-        stages.append(Stage(unknowns=(("level", spec.level),),
-                            grid_ids=tuple(level_grid_ids.get(spec.level, ()))))
+        stages.append(Stage(unknowns=(("level", spec.step.level),),
+                            grid_ids=tuple(level_grid_ids.get(spec.step.level, ()))))
 
     vertex_of = {g.grid_id: g.vertex for g in plan.grids}
-    changed = True
-    while changed:
-        changed = False
-        solved: set = set()
-        for idx, stage in enumerate(stages):
-            members = set(stage.unknowns)
-            contaminating = set()
-            for gid in stage.grid_ids:
-                vertex = vertex_of[gid]
-                for other in range(idx + 1, len(stages)):
-                    for unk in stages[other].unknowns:
-                        if unk in members or unk in solved:
-                            continue
-                        if abs(plan.visibility(unk, vertex)) > VISIBILITY_TOL:
-                            contaminating.add(unk)
-            if contaminating:
-                merged_unknowns = list(stage.unknowns)
-                merged_grids = list(stage.grid_ids)
-                rest = []
-                for other in stages[idx + 1:]:
-                    if any(u in contaminating for u in other.unknowns):
-                        merged_unknowns.extend(other.unknowns)
-                        merged_grids.extend(other.grid_ids)
-                    else:
-                        rest.append(other)
-                stages = stages[:idx] + [Stage(tuple(merged_unknowns), tuple(merged_grids))] + rest
-                changed = True
-                break
-            solved |= members
+    idx = 0
+    while idx < len(stages):
+        vertices = {vertex_of[gid] for gid in stages[idx].grid_ids}
+        seen = {unk for later in stages[idx + 1:] for unk in later.unknowns
+                if any(abs(plan.visibility(unk, v)) > VISIBILITY_TOL for v in vertices)}
+        if not seen:
+            idx += 1
+            continue
+        merged = [stages[idx]] + [s for s in stages[idx + 1:] if seen & set(s.unknowns)]
+        rest = [s for s in stages[idx + 1:] if not seen & set(s.unknowns)]
+        stages[idx:] = [Stage(tuple(u for s in merged for u in s.unknowns),
+                              tuple(gid for s in merged for gid in s.grid_ids))] + rest
     return tuple(stages)
 
 
@@ -438,14 +425,8 @@ def make_plan(spectrum: Spectrum, profile: BandwidthProfile,
         base_stages.append((w, (gid,)))
     levels = []
     for i in range(1, filtration.depth + 1):
-        step = filtration.step_at(i)
-        lam_i0 = filtration.levels[i].lambda0
-        v_set = seq.v_sets[i]
-        vi = seq.added[i - 1]
-        ext = extension_matrix(spectrum, lam_i0, v_set)
-        spec = LevelSpec(level=i, vertex=vi, b=step.b_star, lambda_star=step.lambda_star,
-                         lambda0=lam_i0, v_set=v_set, extension=ext, col=v_set.index(vi))
-        levels.append(spec)
+        step, vi = filtration.step_at(i), seq.added[i - 1]
+        levels.append(LevelSpec(step=step, vertex=vi))
         rate = 2 * step.b_star
         if rate > 0:
             grids.append(Grid(grid_id=f"level:{i}", vertex=vi, rate=rate, phase=Fraction(0)))
@@ -496,39 +477,15 @@ def _grids_collide(rate_a, phase_a, rate_b, phase_b) -> bool:
     return ((phase_a - phase_b) / lattice).denominator == 1
 
 
-def _decollide_phases(grids) -> tuple:
-    """Shift phases so no two grids at one vertex share a sample time.
-
-    A sub-lattice half-shift can never land back on a coarser lattice, so a
-    few halvings always separate the grids; the choice is deterministic.
-    """
-    placed: dict = {}
-    out = []
-    for g in grids:
-        prev = placed.setdefault(g.vertex, [])
-        phase = g.phase
-        if g.rate > 0 and prev:
-            lattice = Fraction(1, g.rate)
-            for rate_p, _ in prev:
-                lattice = _rational_gcd(lattice, Fraction(1, rate_p))
-            k = 1
-            while any(_grids_collide(g.rate, phase, r, p) for r, p in prev):
-                phase = g.phase + lattice / (2 ** k)
-                k += 1
-                if k > 64:
-                    raise AssertionError("phase de-collision failed to converge")
-        prev.append((g.rate, phase))
-        out.append(Grid(grid_id=g.grid_id, vertex=g.vertex, rate=g.rate, phase=phase))
-    return tuple(out)
-
-
 def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) -> SamplingPlan:
     """Move sampling load ``2 * amount`` from a quotient grid onto a donor vertex.
 
     The donor must actually observe the quotient residual (non-vanishing
-    extension coefficient). The donated grid is phase-offset so the union of
-    the two grids stays a valid reconstruction set; stages are recomputed,
-    merging levels whose content the donor also sees.
+    extension coefficient), and the amount is bounded by half the level
+    grid's current rate, so an already-split level can be split again. The
+    donated grid is phase-offset so the union of the two grids stays a valid
+    reconstruction set; stages are recomputed, merging levels whose content
+    the donor also sees.
     """
     amount = Fraction(amount)
     if amount < 0:
@@ -542,34 +499,39 @@ def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) 
             break
     if spec is None:
         raise ProblemFormatError(f"vertex {acceptor} carries no quotient grid")
-    if amount > spec.b:
-        raise ProblemFormatError(f"split amount {amount} exceeds the quotient bandwidth {spec.b}")
+    level = spec.step.level
+    level_id = f"level:{level}"
+    # a level whose grid was donated away entirely has no rate left
+    rate = next((g.rate for g in plan.grids if g.grid_id == level_id), Fraction(0))
+    if amount > rate / 2:
+        raise ProblemFormatError(f"split amount {amount} exceeds the quotient bandwidth {rate / 2}")
     if donor == acceptor:
         raise ProblemFormatError("donor and acceptor must differ")
     if not 0 <= donor < plan.n:
         raise ProblemFormatError(f"donor vertex {donor} out of range")
-    scale = plan.visibility(("level", spec.level), donor)
+    donated_id = f"{level_id}:donated:{donor}"
+    if any(g.grid_id == donated_id for g in plan.grids):
+        raise ProblemFormatError(f"vertex {donor} already holds a grid donated by level {level}")
+    scale = plan.visibility(("level", level), donor)
     if abs(scale) <= VISIBILITY_TOL:
         raise ProblemFormatError(
-            f"vertex {donor} cannot observe the level-{spec.level} residual "
+            f"vertex {donor} cannot observe the level-{level} residual "
             "(extension coefficient is zero)")
 
-    kept_rate = 2 * (spec.b - amount)
+    kept_rate = rate - 2 * amount
     donated_rate = 2 * amount
-    grids = []
-    for g in plan.grids:
-        if g.grid_id == f"level:{spec.level}":
-            if kept_rate > 0:
-                grids.append(Grid(grid_id=g.grid_id, vertex=g.vertex, rate=kept_rate, phase=g.phase))
-        else:
-            grids.append(g)
-    phase = _interleaving_phase(kept_rate, donated_rate)
-    grids.append(Grid(grid_id=f"level:{spec.level}:donated:{donor}", vertex=donor,
-                      rate=donated_rate, phase=phase))
+    grids = [replace(g, rate=kept_rate) if g.grid_id == level_id else g
+             for g in plan.grids if g.grid_id != level_id or kept_rate > 0]
+    grids.append(Grid(grid_id=donated_id, vertex=donor, rate=donated_rate,
+                      phase=_interleaving_phase(kept_rate, donated_rate)))
+    # each grid is its own placement group and cohort: only grids at one
+    # vertex must keep their sample times apart
+    placed = _place_spread_grids(
+        [SpreadGrid(g.grid_id, g.vertex, g.rate, g.phase, cohort=g.grid_id, group=g.grid_id)
+         for g in grids], ())
     moved = replace(
-        plan, grids=_decollide_phases(grids),
-        notes=plan.notes
-        + (f"split level {spec.level}: rate {donated_rate} moved to vertex {donor}",))
+        plan, grids=tuple(placed),
+        notes=plan.notes + (f"split level {level}: rate {donated_rate} moved to vertex {donor}",))
     if moved.total_rate != plan.total_rate:
         raise AssertionError("split changed the total rate")
     return _with_stages(moved)
@@ -698,11 +660,14 @@ class SpreadGrid:
 
 
 def _place_spread_grids(spread_grids, existing_grids) -> list:
-    """Assign final phases to spread grids.
+    """Assign final phases to spread grids, in order; the one placement
+    routine, also for the grids of a split plan.
 
     Grids of one group shift together (preserving simultaneity); a shift is
     needed when a member lands on another grid at its vertex or when the
     group's time lattice meets another group's lattice in the same cohort.
+    The shift halves the common lattice of the grids it must avoid, and a
+    sub-lattice half-shift never lands back on a coarser lattice.
     """
     placed_by_vertex: dict = {}
     for g in existing_grids:

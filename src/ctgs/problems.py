@@ -56,7 +56,7 @@ def _require(doc: dict, key: str, kind, pointer: str):
     if key not in doc:
         raise ProblemFormatError(f"missing required field", f"{pointer}/{key}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         raise ProblemFormatError(f"expected {kind.__name__}", f"{pointer}/{key}")
     return value
 
@@ -79,13 +79,14 @@ def parse_window(ends, end_pointers, pointer: str) -> tuple:
 
 
 def check_seed(seed, pointer: str) -> int:
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ProblemFormatError("seed must be a non-negative integer", pointer)
     return seed
 
 
 def check_tolerance(tolerance, pointer: str) -> float:
-    if not isinstance(tolerance, (int, float)) or not 0 < tolerance < math.inf:
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, (int, float))
+            or not 0 < tolerance < math.inf):
         raise ProblemFormatError("tolerance must be a positive finite number", pointer)
     return float(tolerance)
 
@@ -148,7 +149,8 @@ def parse_problem(text: str) -> Problem:
     tolerance = check_tolerance(opts.get("tolerance", 1e-10), "/options/tolerance")
     v_star = opts.get("v_star")
     if v_star is not None:
-        if not (isinstance(v_star, list) and all(isinstance(v, int) for v in v_star)):
+        if not (isinstance(v_star, list)
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in v_star)):
             raise ProblemFormatError("v_star must be a list of vertex indices", "/options/v_star")
         for i, v in enumerate(v_star):
             if not 0 <= v < n:

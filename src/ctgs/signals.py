@@ -279,11 +279,10 @@ def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period
     Construction from the tightness argument: full-bandwidth content at a
     contributing vertex of the optimal uniqueness set, zero elsewhere on it.
     """
-    from .dependence import extension_matrix, x_support
+    from .dependence import x_support
 
     period = Fraction(period)
-    x = step.x_vec
-    support = x_support(x)
+    support = x_support(step.x_vec)
     cutoff = harmonic_cutoff(step.b_star, period)
     candidates = [v for v, hit in zip(step.chosen_v0, support) if hit
                   and profile.vertex_bw[v] >= step.b_star]
@@ -293,7 +292,5 @@ def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period
     coeffs = np.zeros(n_trig_coeffs(cutoff))
     if cutoff >= 0:
         coeffs[0 if cutoff == 0 else 2 * cutoff - 1] = 1.0
-    m = extension_matrix(spectrum, step.lambda0, step.chosen_v0)
-    col = step.chosen_v0.index(vstar)
-    full = np.outer(m[:, col], coeffs)
+    full = np.outer(step.extension[:, step.chosen_v0.index(vstar)], coeffs)
     return PeriodicSignal(period, full)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,22 +33,19 @@ class GraphModel:
         seen = set()
         for idx, edge in enumerate(edges):
             pointer = f"/edges/{idx}"
-            if len(edge) == 2:
-                i, j = edge
-                w = 1.0
-            elif len(edge) == 3:
-                i, j, w = edge
-            else:
+            if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
                 raise ProblemFormatError("edge must be [i, j] or [i, j, weight]", pointer)
-            if not (isinstance(i, int) and isinstance(j, int)):
+            i, j = edge[:2]
+            w = edge[2] if len(edge) == 3 else 1.0
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
                 raise ProblemFormatError("edge endpoints must be integers", pointer)
             if i == j:
                 raise ProblemFormatError("self-loops are not allowed", pointer)
             if not (0 <= i < n_vertices and 0 <= j < n_vertices):
                 raise ProblemFormatError("edge endpoint out of range", pointer)
+            if isinstance(w, bool) or not isinstance(w, Real) or not 0 < w < math.inf:
+                raise ProblemFormatError("edge weight must be a positive finite number", pointer)
             w = float(w)
-            if w <= 0:
-                raise ProblemFormatError("edge weight must be positive", pointer)
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ProblemFormatError(f"duplicate edge {key}", pointer)

@@ -1,5 +1,6 @@
 """Shared generators and brute-force oracles for randomized suites."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -305,3 +306,107 @@ def carrier_groups_loop(spectrum, lambda0, vertex_bw, v0, v_star):
         groups[k - 1].append(u)
     return [(w, tuple(sorted(g))) for w, g in zip(ordered, groups)]
 
+
+
+# --- oracles for plan assembly -----------------------------------------------
+
+def decollide_phases_loop(grids):
+    """Oracle for split placement: each grid in order, halving a shift off
+    the lattice of the grids already at its vertex until no sample time is
+    shared (the per-vertex de-collision loop the spread placement replaced)."""
+    placed = {}
+    out = []
+    for g in grids:
+        prev = placed.setdefault(g.vertex, [])
+        phase = g.phase
+        if g.rate > 0 and prev:
+            lattice = Fraction(1, g.rate)
+            for rate_p, _ in prev:
+                lattice = ctgs.planner._rational_gcd(lattice, Fraction(1, rate_p))
+            k = 1
+            while any(ctgs.planner._grids_collide(g.rate, phase, r, p) for r, p in prev):
+                phase = g.phase + lattice / (2 ** k)
+                k += 1
+                if k > 64:
+                    raise AssertionError("phase de-collision failed to converge")
+        prev.append((g.rate, phase))
+        out.append(ctgs.planner.Grid(grid_id=g.grid_id, vertex=g.vertex, rate=g.rate,
+                                     phase=phase))
+    return tuple(out)
+
+
+def split_grids_loop(plan, donor, acceptor, amount):
+    """Oracle for the grids of ``split_rate_transform``: the acceptor's level
+    grid keeps its rate less 2 * amount, the donated grid starts at the
+    interleaving phase, and ``decollide_phases_loop`` places them in order."""
+    level = next(spec.step.level for spec in plan.levels if spec.vertex == acceptor)
+    level_id = f"level:{level}"
+    amount = Fraction(amount)
+    kept = plan.grid(level_id).rate - 2 * amount
+    grids = [replace(g, rate=kept) if g.grid_id == level_id else g
+             for g in plan.grids if g.grid_id != level_id or kept > 0]
+    grids.append(ctgs.planner.Grid(f"{level_id}:donated:{donor}", donor, 2 * amount,
+                                   ctgs.planner._interleaving_phase(kept, 2 * amount)))
+    return decollide_phases_loop(grids)
+
+
+def compute_stages_loop(plan):
+    """Oracle for ``planner._compute_stages``: per-unknown stages, and after
+    every merge the scan restarts from stage 0 until no stage's grids see an
+    unknown that is neither solved before it nor its own."""
+    from ctgs.planner import VISIBILITY_TOL, Stage
+
+    stages = [Stage(unknowns=(("base", w),), grid_ids=tuple(gids))
+              for w, gids in plan.base_stages]
+    for spec in plan.levels:
+        prefix = f"level:{spec.step.level}"
+        stages.append(Stage(unknowns=(("level", spec.step.level),),
+                            grid_ids=tuple(g.grid_id for g in plan.grids
+                                           if g.grid_id == prefix
+                                           or g.grid_id.startswith(prefix + ":"))))
+    changed = True
+    while changed:
+        changed = False
+        solved = set()
+        for idx, stage in enumerate(stages):
+            members = set(stage.unknowns)
+            contaminating = set()
+            for gid in stage.grid_ids:
+                vertex = plan.grid(gid).vertex
+                for other in stages[idx + 1:]:
+                    for unk in other.unknowns:
+                        if unk in members or unk in solved:
+                            continue
+                        if abs(plan.visibility(unk, vertex)) > VISIBILITY_TOL:
+                            contaminating.add(unk)
+            if contaminating:
+                merged_unknowns = list(stage.unknowns)
+                merged_grids = list(stage.grid_ids)
+                rest = []
+                for other in stages[idx + 1:]:
+                    if any(u in contaminating for u in other.unknowns):
+                        merged_unknowns.extend(other.unknowns)
+                        merged_grids.extend(other.grid_ids)
+                    else:
+                        rest.append(other)
+                stages = stages[:idx] + [Stage(tuple(merged_unknowns), tuple(merged_grids))] + rest
+                changed = True
+                break
+            solved |= members
+    return tuple(stages)
+
+
+def spread_set(spectrum, plan):
+    """The plan's base set plus, in index order, every vertex that keeps the
+    spread set valid."""
+    v_star = list(plan.base_vertices)
+    for v in range(plan.n):
+        if v in v_star:
+            continue
+        try:
+            ctgs.planner.validate_spread_set(spectrum, plan.base_lambda0, plan.base_vertices,
+                                             v_star + [v])
+        except ctgs.ProblemFormatError:
+            continue
+        v_star.append(v)
+    return tuple(sorted(v_star))

@@ -262,9 +262,23 @@ def _worked_text(**fields):
     (_worked_text(), ["--tolerance", "0"], "--tolerance"),
     (_worked_text(), ["--tolerance", "-1"], "--tolerance"),
     (_worked_text()[:-1] + ', "options": {"tolerance": NaN}}', [], "/options/tolerance"),
+    (_worked_text(edges=[[0, 1, "x"]] + WORKED_EDGES[1:]), [], "/edges/0"),
+    (_worked_text(edges=[[0, 1, [1]]] + WORKED_EDGES[1:]), [], "/edges/0"),
+    (_worked_text(edges=[[0, 1, float("inf")]] + WORKED_EDGES[1:]), [], "/edges/0"),
+    (_worked_text(edges=[[0, 1, float("nan")]] + WORKED_EDGES[1:]), [], "/edges/0"),
+    (_worked_text(edges=[[0, 1, True]] + WORKED_EDGES[1:]), [], "/edges/0"),
+    (_worked_text(options={"seed": True}), [], "/options/seed"),
+    (_worked_text(options={"tolerance": True}), [], "/options/tolerance"),
+    (json.dumps({"n": True, "edges": [], "B": [1], "C": [1]}), [], "/n"),
+    (_worked_text(options={"v_star": [True, 2, 3]}), [], "/options/v_star"),
+    (_worked_text(edges=[[True, 2]] + WORKED_EDGES[1:]), [], "/edges/0"),
+    (_worked_text(edges=[5] + WORKED_EDGES[1:]), [], "/edges/0"),
 ], ids=["shift-string", "shift-ragged", "period-flag-inf", "period-option-inf",
         "period-option-float-inf", "window-flag-inf", "seed-option-negative", "seed-flag-negative", "tolerance-flag-nan",
-        "tolerance-flag-zero", "tolerance-flag-negative", "tolerance-option-nan"])
+        "tolerance-flag-zero", "tolerance-flag-negative", "tolerance-option-nan",
+        "weight-string", "weight-list", "weight-inf", "weight-nan", "weight-bool", "seed-option-bool",
+        "tolerance-option-bool", "n-bool", "vstar-bool", "endpoint-bool",
+        "edge-number"])
 def test_bad_option_exits_validation(tmp_path, capsys, text, flags, pointer):
     path = tmp_path / "bad_option.json"
     path.write_text(text)

@@ -9,6 +9,7 @@ from ctgs.numerics import INF, least_period
 from helpers import (
     backtrack_sequence_loop,
     carrier_groups_loop,
+    compute_stages_loop,
     greedy_sequence_loop,
     greedy_vertex_set_loop,
     plannable_at,
@@ -16,6 +17,8 @@ from helpers import (
     quotient_bound_bruteforce,
     random_profile,
     random_spectrum,
+    split_grids_loop,
+    spread_set,
 )
 
 LAM0_W0 = (0, 1, 2)
@@ -281,6 +284,24 @@ def test_plan_n60_svd_count(monkeypatch):
     assert len(calls) <= 3 * (filtration.depth + 1)
 
 
+def test_plan_n60_solve_count(monkeypatch):
+    """Each level's extension map is solved once, by its filtration step, so
+    one plan_problem at n = 60 makes 2 solves per level plus 1: the step's
+    extension and the verifier's x-test per level, and the base extension."""
+    spectrum, profile = plannable_at(60, seed=60)
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    _, _, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
+    assert filtration.depth >= 10
+    assert len(calls) <= 2 * filtration.depth + 1
+
+
 def test_n40_problem_plans_and_round_trips():
     """Past the enumeration guard: a random n = 40 problem plans, its
     sequence verifies, and a periodic round trip recovers it."""
@@ -386,3 +407,67 @@ def test_split_validates_inputs(worked_bundle):
         ctgs.split_rate_transform(plan, donor=4, acceptor=4, amount=1)
     with pytest.raises(ctgs.ProblemFormatError):
         ctgs.split_rate_transform(plan, donor=1, acceptor=4, amount=100)
+
+
+def test_repeated_split_reads_the_level_grid_rate(worked_bundle):
+    """A second split of one level is bounded by the level grid's current
+    rate, not by its quotient bandwidth, and cannot duplicate a grid id."""
+    _, _, _, _, plan = worked_bundle
+    once = ctgs.split_rate_transform(plan, donor=1, acceptor=4, amount=1)
+    assert once.grid("level:1").rate == 6
+    with pytest.raises(ctgs.ProblemFormatError, match="already holds"):
+        ctgs.split_rate_transform(once, donor=1, acceptor=4, amount=1)
+    with pytest.raises(ctgs.ProblemFormatError, match="exceeds"):
+        ctgs.split_rate_transform(once, donor=1, acceptor=4, amount=4)
+    drained = ctgs.split_rate_transform(plan, donor=1, acceptor=4, amount=4)
+    assert all(g.grid_id != "level:1" for g in drained.grids)
+    with pytest.raises(ctgs.ProblemFormatError, match="exceeds"):
+        ctgs.split_rate_transform(drained, donor=0, acceptor=4, amount=1)
+
+
+def test_plans_match_placement_and_stage_oracles():
+    """Split grids go through the spread placement, and stages merge in one
+    forward pass; on random plans both agree with the per-vertex
+    de-collision loop and the restart-until-fixed-point merge. Covers
+    single splits, double splits (the second one donating all that is left
+    of a level grid, the split one included) and redistributed plans; many
+    of them merge stages, so the stage comparison is not vacuous."""
+    compared = merged = repeated = 0
+
+    def check(plan):
+        nonlocal compared, merged
+        assert plan.stages == compute_stages_loop(plan)
+        compared += 1
+        merged += len(plan.stages) < len(plan.unknowns)
+
+    for spectrum, _, bundle in plannable_instances(11, 80, n_max=7):
+        plan = bundle[-1]
+        check(plan)
+        try:
+            check(ctgs.redistribute_plan(plan, spectrum, spread_set(spectrum, plan)))
+        except ctgs.ProblemFormatError:
+            pass
+        for spec in plan.levels:
+            for donor in range(plan.n):
+                half = spec.step.b_star / 2
+                try:
+                    once = ctgs.split_rate_transform(plan, donor, spec.vertex, half)
+                except ctgs.ProblemFormatError:
+                    continue
+                assert once.grids == split_grids_loop(plan, donor, spec.vertex, half)
+                check(once)
+                for other in plan.levels:
+                    rest = sum(g.rate for g in once.grids
+                               if g.grid_id == f"level:{other.step.level}") / 2
+                    if not rest:
+                        continue
+                    for donor2 in range(plan.n):
+                        try:
+                            twice = ctgs.split_rate_transform(once, donor2, other.vertex, rest)
+                        except ctgs.ProblemFormatError:
+                            continue
+                        assert twice.grids == split_grids_loop(once, donor2, other.vertex, rest)
+                        check(twice)
+                        repeated += other is spec
+    assert repeated > 0
+    assert merged > compared // 2, (merged, compared)
