@@ -483,10 +483,14 @@ def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) 
     The donor must actually observe the quotient residual (non-vanishing
     extension coefficient), and the amount is bounded by half the level
     grid's current rate, so an already-split level can be split again. The
-    donated grid is phase-offset so the union of the two grids stays a valid
-    reconstruction set; stages are recomputed, merging levels whose content
-    the donor also sees.
+    donated grid is phase-offset off the kept grid's lattice; stages are
+    recomputed, merging levels whose content the donor also sees. A split
+    that leaves a stage rank deficient at the plan's least period (the
+    recoverability certificate, ``sampling.rank_deficient_stages``) is
+    refused.
     """
+    from .sampling import rank_deficient_stages
+
     amount = Fraction(amount)
     if amount < 0:
         raise ProblemFormatError("split amount must be non-negative")
@@ -534,7 +538,14 @@ def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) 
         notes=plan.notes + (f"split level {level}: rate {donated_rate} moved to vertex {donor}",))
     if moved.total_rate != plan.total_rate:
         raise AssertionError("split changed the total rate")
-    return _with_stages(moved)
+    moved = _with_stages(moved)
+    deficient = rank_deficient_stages(moved)
+    if deficient:
+        unknowns, rank, columns = deficient[0]
+        raise ProblemFormatError(
+            f"split leaves the stage of {list(unknowns)} unrecoverable: "
+            f"rank {rank} of {columns} columns at the least period")
+    return moved
 
 
 def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
@@ -761,19 +772,19 @@ def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum,
 
     With quotient levels present, spread carriers observe quotient content
     too, which can starve a construction of information; each construction
-    is therefore verified by an actual periodic round trip before being
-    returned, best eccentricity first, and the other one is built only when
-    the best fails.
+    must therefore pass the recoverability certificate (every stage of full
+    column rank at the least period), best eccentricity first, and the
+    other one is built only when the best fails.
     """
-    from .sampling import plan_roundtrip_ok
+    from .sampling import rank_deficient_stages
 
     args = (spectrum, plan.base_lambda0, plan.vertex_bw, plan.base_vertices, v_star)
     best = choose_spread(*args)
     candidate = _spread_plan(plan, best, v_star)
-    if plan_roundtrip_ok(candidate, spectrum):
+    if not rank_deficient_stages(candidate):
         return candidate
     candidate = _spread_plan(plan, _runner_up_spread(*args, best), v_star)
-    if plan_roundtrip_ok(candidate, spectrum):
+    if not rank_deficient_stages(candidate):
         return candidate
     raise ProblemFormatError(
         "spreading the base load over this set breaks recoverability of the full plan")

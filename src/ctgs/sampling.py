@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -24,6 +25,7 @@ from .signals import (
 from .spectral import Spectrum
 
 RESIDUAL_TOL = 1e-6
+EPS = np.finfo(float).eps
 
 # Time points per signal evaluation in sinc-mode error quadrature; bounds
 # the memory of the times x columns cardinal-series design.
@@ -197,6 +199,15 @@ def sample_signal(signal: GraphSignal, sample_set: SampleSet) -> Observation:
 
 
 # --- staged recovery -------------------------------------------------------
+#
+# Every stage goes through one block solver. A sinc stage is one real block.
+# A periodic stage's grids repeat every T0 = least_period(their rates), so at
+# period T = m * T0 each grid's samples are m shifts of its first-window
+# samples. An m-point FFT along the shifts splits the stage system into m
+# harmonic classes: class rho holds the complex harmonics k = rho (mod m) of
+# every unknown, seen at the first-window times only. Class m - rho is the
+# conjugate of class rho, so classes 0..m//2 are solved. A one-grid stage
+# folds into 1-row blocks: the sampling theorem's DFT reconstruction.
 
 def _bases(plan: SamplingPlan, mode: str, domain) -> tuple:
     """Each plan unknown's bandwidth, and the scalar basis (width, design
@@ -238,6 +249,187 @@ def _design_rows(plan, blocks, total, bws, designs, vertex) -> np.ndarray:
     return rows
 
 
+def _harmonics(bases: dict, period) -> np.ndarray:
+    """2 pi i k / T for k = -top..top, top the largest cutoff among ``bases``."""
+    top = max((width // 2 for width, _ in bases.values()), default=0)
+    return (2j * np.pi / float(period)) * np.arange(-top, top + 1)
+
+
+def _first_window_design(times: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """len(times) x len(freqs) matrix of exp(t * f), f = 2 pi i k / T."""
+    return np.exp(np.outer(times, freqs))
+
+
+@lru_cache(maxsize=1024)
+def _harmonic_classes(m: int, widths: tuple) -> tuple:
+    """Column layout of a stage folded m ways whose unknowns have the given
+    trig widths 2K + 1: column (u, k), k = -K..K, lies in class k mod m.
+
+    Returns each column's weight (1 for k = 0, else 1/sqrt(2)), whether its
+    class lies past m//2, its conjugate partner (u, -k), and one entry per
+    column count: the classes rho <= m//2 with that count, their columns
+    and their weights in the rank (2 for a conjugate pair). The cache
+    shares the arrays between stages, so they are read-only.
+    """
+    k = np.concatenate([np.arange(-(w // 2), w // 2 + 1) for w in widths if w])
+    classes = k % m
+    sizes = np.bincount(classes, minlength=m)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(classes, kind="stable")
+    half = sizes[:m // 2 + 1]
+    groups = []
+    for size in sorted(set(half.tolist()) - {0}):
+        rhos = np.flatnonzero(half == size)
+        groups.append((rhos, order[starts[rhos][:, None] + np.arange(size)],
+                       2 - ((rhos == 0) | (2 * rhos == m))))
+    weight = np.where(k == 0, 1.0, np.sqrt(0.5))
+    mirrored, partner = 2 * classes > m, np.arange(len(k)) - 2 * k
+    for array in (weight, mirrored, partner, *(a for group in groups for a in group)):
+        array.flags.writeable = False
+    return weight, mirrored, partner, tuple(groups)
+
+
+class _PeriodicStage:
+    """A periodic stage folded over its grids' least period T0.
+
+    At period T each grid holds m * n_g samples, m = T / T0 being the gcd
+    of the grids' sample counts. Column (u, k) is unknown u's complex
+    harmonic k, weighted so the folded blocks are unitarily equivalent to
+    the real system and its rank cut keeps its meaning. Solved content is
+    held per vertex as two-sided complex harmonics -top..top.
+    """
+
+    def __init__(self, plan, layout, cols, grids, freqs):
+        m = self.m = math.gcd(*(len(g.times) for g in grids))
+        self.layout, self.cols, self.top = layout, cols, len(freqs) // 2
+        counts = [len(g.times) // m for g in grids]
+        self.row_vertex = np.repeat([g.vertex for g in grids], counts)
+        # every grid's first window, in one design
+        self.design = _first_window_design(
+            np.concatenate([g.float_times[:n] for g, n in zip(grids, counts)]), freqs)
+        matrix = np.zeros((len(self.row_vertex), cols), complex)
+        row = 0
+        for g, n in zip(grids, counts):
+            for u, lo, width in layout:
+                scale = plan.visibility(u, g.vertex)
+                if scale != 0.0 and width:
+                    first = self.top - width // 2
+                    matrix[row:row + n, lo:lo + width] = (
+                        scale * self.design[row:row + n, first:first + width])
+            row += n
+        self.weight, self.mirrored, self.partner, index = _harmonic_classes(
+            m, tuple(width for _, _, width in layout))
+        matrix *= self.weight
+        self.index = [(rhos, columns) for rhos, columns, _ in index]
+        self.groups = [(matrix[:, columns].transpose(1, 0, 2), weights)
+                       for _, columns, weights in index]
+
+    def right_sides(self, values, seen) -> list:
+        """Fold the samples class by class, subtract the solved content
+        ``seen`` at each row's vertex in one pass, and return the stacks'
+        right-hand sides."""
+        m, rows = self.m, len(self.row_vertex)
+        y = np.fft.rfft(np.hstack([v.reshape(m, -1) for v in values]), axis=0) / m
+        known = seen[self.row_vertex]
+        if known.any():
+            # harmonic k sits at column k + top; pad so columns fall in class order
+            width = known.shape[1]
+            shift = -self.top % m
+            padded = np.zeros((rows, -(-(shift + width) // m) * m), complex)
+            padded[:, shift:shift + width] = self.design * known
+            y -= padded.reshape(rows, -1, m).sum(1)[:, :m // 2 + 1].T
+        self.y = y
+        return [y[rhos] for rhos, _ in self.index]
+
+    def residual(self, fits) -> tuple:
+        """Largest time-domain residual and largest folded-back sample."""
+        r = -self.y
+        for (rhos, _), f in zip(self.index, fits):
+            r[rhos] += f
+        back = np.abs(np.fft.irfft(np.hstack([r, self.y]), n=self.m, axis=0))
+        width = r.shape[1]
+        return self.m * float(back[:, :width].max()), self.m * float(back[:, width:].max())
+
+    def contents(self, solutions) -> dict:
+        """Class solutions -> each unknown's real [a0, a1, b1, ...] coefficients."""
+        z = np.empty(self.cols, complex)
+        for (_, columns), x in zip(self.index, solutions):
+            z[columns] = x
+        self.z = z = np.where(self.mirrored, z[self.partner].conj(), z) * self.weight
+        out = {}
+        for u, lo, width in self.layout:
+            c = z[lo + width // 2:lo + width]
+            out[u] = np.concatenate((c[:1].real, (2.0 * c[1:].conj()).view(float)))
+        return out
+
+    def add_solved(self, plan, seen) -> None:
+        """Add the stage's solved harmonics, extended to every vertex, to ``seen``."""
+        for u, lo, width in self.layout:
+            first = self.top - width // 2
+            seen[:, first:first + width] += np.outer(plan.extension_column(u),
+                                                     self.z[lo:lo + width])
+
+
+class _SincStage:
+    """A sinc stage: one real block of its grids' scaled designs, built once
+    per (grid, bandwidth) and shared with the subtraction of solved blocks."""
+
+    def __init__(self, plan, layout, cols, grids, bws, bases):
+        self.plan, self.layout, self.grids = plan, layout, grids
+        self.bws, self.designs = bws, [_GridDesigns(bases, g.float_times) for g in grids]
+        matrix = np.vstack([_design_rows(plan, layout, cols, bws, designs, g.vertex)
+                            for g, designs in zip(grids, self.designs)])
+        self.groups = [(matrix[None], np.ones(1, int))]
+
+    def right_sides(self, values, solved) -> list:
+        """The samples less the ``solved`` blocks each grid sees."""
+        parts = []
+        for grid, designs, y in zip(self.grids, self.designs, values):
+            for u, coeffs in solved.items():
+                scale = self.plan.visibility(u, grid.vertex)
+                if scale != 0.0:
+                    y = y - scale * (designs[self.bws[u]] @ coeffs)
+            parts.append(y)
+        self.y = np.concatenate(parts)
+        return [self.y[None]]
+
+    def residual(self, fits) -> tuple:
+        """Largest residual and largest sample."""
+        return float(np.max(np.abs(fits[0][0] - self.y))), float(np.max(np.abs(self.y)))
+
+    def contents(self, solutions) -> dict:
+        return {u: solutions[0][0, lo:lo + width] for u, lo, width in self.layout}
+
+
+def _rank(groups, singular_values, rows: int, cols: int) -> int:
+    """The stage rank: over the stacks of same-shape blocks, the weighted
+    count of singular values above eps * max(rows, cols) * the largest
+    singular value of any block (``lstsq``'s default cut)."""
+    top = max((float(s.max()) for s in singular_values if s.size), default=0.0)
+    cut = EPS * max(rows, cols) * top
+    return sum(int(weights @ (s > cut).sum(1))
+               for (_, weights), s in zip(groups, singular_values))
+
+
+def _solve(factors, rhs) -> tuple:
+    """Per stack, the full-column-rank least-squares solutions and fits."""
+    solutions, fits = [], []
+    for (u, s, vh), y in zip(factors, rhs):
+        uty = u.conj().swapaxes(1, 2) @ y[:, :, None]
+        solutions.append((vh.conj().swapaxes(1, 2) @ (uty / s[:, :, None]))[:, :, 0])
+        fits.append((u @ uty)[:, :, 0])
+    return solutions, fits
+
+
+def _stage_values(obs_by_grid, grid) -> np.ndarray:
+    pairs = obs_by_grid.get(grid.grid_id, [])
+    if [t for t, _ in pairs] != list(grid.times):
+        raise ReconstructionError(
+            f"observation does not cover grid {grid.grid_id}",
+            {"grid": grid.grid_id, "expected": len(grid.times), "got": len(pairs)})
+    return np.array([v for _, v in pairs], dtype=float)
+
+
 @dataclass(eq=False)
 class RecoveryResult:
     recovered: GraphSignal
@@ -253,8 +445,9 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
     Each stage solves its unknown blocks jointly from its grids after
     subtracting everything already recovered; stage construction guarantees
     no not-yet-recovered block outside the stage is visible on its grids.
-    Raises with diagnostics when a stage system is rank deficient or
-    inconsistent with the observations.
+    Periodic stages are solved per harmonic class (see above). Raises with
+    diagnostics when a stage system is rank deficient or inconsistent with
+    the observations.
     """
     mode, domain = sample_set.mode, sample_set.domain
     bws, bases = _bases(plan, mode, domain)
@@ -262,50 +455,47 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
     obs_by_grid = observation.by_grid()
     contents: dict = {}
     diagnostics: dict = {"stages": []}
+    if mode == "periodic":
+        freqs = _harmonics(bases, domain)
+        # all solved content at each vertex: complex harmonics -top..top
+        seen = np.zeros((plan.n, len(freqs)), complex)
 
     for stage in plan.stages:
-        blocks, total_cols = _layout(stage.unknowns, bws, bases)
-        rows_a, rows_y, n_rows = [], [], 0
-        for gid in stage.grid_ids:
-            grid = grids[gid]
-            pairs = obs_by_grid.get(gid, [])
-            if [t for t, _ in pairs] != list(grid.times):
-                raise ReconstructionError(
-                    f"observation does not cover grid {gid}",
-                    {"grid": gid, "expected": len(grid.times), "got": len(pairs)})
-            designs = _GridDesigns(bases, grid.float_times)
-            values = np.array([v for _, v in pairs])
-            for solved, coeffs in contents.items():
-                scale = plan.visibility(solved, grid.vertex)
-                if scale != 0.0:
-                    values = values - scale * (designs[bws[solved]] @ coeffs)
-            rows_a.append(_design_rows(plan, blocks, total_cols, bws, designs, grid.vertex))
-            rows_y.append(values)
-            n_rows += len(pairs)
+        layout, total_cols = _layout(stage.unknowns, bws, bases)
+        stage_grids = [grids[gid] for gid in stage.grid_ids]
+        values = [_stage_values(obs_by_grid, g) for g in stage_grids]
         if total_cols == 0:
-            for unknown, _, _ in blocks:
+            for unknown, _, _ in layout:
                 contents[unknown] = np.zeros(0)
             continue
+        n_rows = sum(len(y) for y in values)
         if n_rows == 0:
             raise ReconstructionError("stage has unknowns but no observations",
                                       {"unknowns": stage.unknowns})
-        a = np.vstack(rows_a)
-        y = np.concatenate(rows_y)
-        solution, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+        if mode == "periodic":
+            system = _PeriodicStage(plan, layout, total_cols, stage_grids, freqs)
+            rhs = system.right_sides(values, seen)
+        else:
+            system = _SincStage(plan, layout, total_cols, stage_grids, bws, bases)
+            rhs = system.right_sides(values, contents)
+        # one SVD per stack of same-shape blocks
+        factors = [np.linalg.svd(stack, full_matrices=False) for stack, _ in system.groups]
+        rank = _rank(system.groups, [s for _, s, _ in factors], n_rows, total_cols)
         if rank < total_cols:
             raise ReconstructionError(
                 "rank-deficient reconstruction system",
-                {"unknowns": stage.unknowns, "rank": int(rank), "columns": total_cols})
-        residual = float(np.max(np.abs(a @ solution - y))) if n_rows else 0.0
-        scale = max(1.0, float(np.max(np.abs(y))) if n_rows else 1.0)
-        if residual > RESIDUAL_TOL * scale:
+                {"unknowns": stage.unknowns, "rank": rank, "columns": total_cols})
+        solutions, fits = _solve(factors, rhs)
+        residual, largest = system.residual(fits)
+        if residual > RESIDUAL_TOL * max(1.0, largest):
             raise ReconstructionError(
                 "observations are inconsistent with the signal model",
                 {"unknowns": stage.unknowns, "residual": residual})
         diagnostics["stages"].append({"unknowns": stage.unknowns, "rows": n_rows,
                                       "columns": total_cols, "residual": residual})
-        for unknown, lo, cols in blocks:
-            contents[unknown] = solution[lo:lo + cols]
+        contents.update(system.contents(solutions))
+        if mode == "periodic":
+            system.add_solved(plan, seen)
 
     # bases first, then levels ascending: summed in this order, ``recovered``
     # equals the sum of ``components`` bit for bit
@@ -315,6 +505,30 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
     recovered = assemble(plan, mode, domain, {u: c for part in parts for u, c in part.items()})
     return RecoveryResult(recovered=recovered, components=components,
                           per_level_contents=contents, diagnostics=diagnostics)
+
+
+def rank_deficient_stages(plan: SamplingPlan) -> list:
+    """The recoverability certificate: each stage whose periodic system at
+    the plan's least period lacks full column rank, as (unknowns, rank,
+    columns). Reads the ranks ``recover`` decides, from the same blocks;
+    needs no signal and no observations."""
+    period = least_period([g.rate for g in plan.grids])
+    bws, bases = _bases(plan, "periodic", period)
+    freqs = _harmonics(bases, period)
+    grids = {g.grid_id: g for g in build_sample_set(plan, "periodic", period).grids}
+    deficient = []
+    for stage in plan.stages:
+        layout, total_cols = _layout(stage.unknowns, bws, bases)
+        stage_grids = [grids[gid] for gid in stage.grid_ids]
+        n_rows = sum(len(g.times) for g in stage_grids)
+        rank = 0
+        if n_rows and total_cols:
+            system = _PeriodicStage(plan, layout, total_cols, stage_grids, freqs)
+            rank = _rank(system.groups, [np.linalg.svd(stack, compute_uv=False)
+                                         for stack, _ in system.groups], n_rows, total_cols)
+        if rank < total_cols:
+            deficient.append((stage.unknowns, rank, total_cols))
+    return deficient
 
 
 # --- error measurement ------------------------------------------------------

@@ -410,3 +410,56 @@ def spread_set(spectrum, plan):
             continue
         v_star.append(v)
     return tuple(sorted(v_star))
+
+
+def recover_dense(observation, plan, sample_set):
+    """Oracle for ``sampling.recover``: each stage's real system, built
+    densely over every sample, minus the solved blocks, solved by one
+    ``np.linalg.lstsq``. Returns (contents, stage diagnostics), or raises
+    ``ReconstructionError`` with recover's message and diagnostics when a
+    stage is rank deficient or inconsistent."""
+    from ctgs.sampling import (RESIDUAL_TOL, _bases, _design_rows, _GridDesigns,
+                               _layout)
+
+    bws, bases = _bases(plan, sample_set.mode, sample_set.domain)
+    grids = {g.grid_id: g for g in sample_set.grids}
+    obs_by_grid = observation.by_grid()
+    contents, stages = {}, []
+    for stage in plan.stages:
+        blocks, total_cols = _layout(stage.unknowns, bws, bases)
+        rows_a, rows_y = [], []
+        for gid in stage.grid_ids:
+            grid = grids[gid]
+            designs = _GridDesigns(bases, grid.float_times)
+            values = np.array([v for _, v in obs_by_grid.get(gid, [])])
+            for solved, coeffs in contents.items():
+                scale = plan.visibility(solved, grid.vertex)
+                if scale != 0.0:
+                    values = values - scale * (designs[bws[solved]] @ coeffs)
+            rows_a.append(_design_rows(plan, blocks, total_cols, bws, designs, grid.vertex))
+            rows_y.append(values)
+        if total_cols == 0:
+            contents.update((u, np.zeros(0)) for u, _, _ in blocks)
+            continue
+        a, y = np.vstack(rows_a), np.concatenate(rows_y)
+        solution, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+        if rank < total_cols:
+            raise ctgs.ReconstructionError(
+                "rank-deficient reconstruction system",
+                {"unknowns": stage.unknowns, "rank": int(rank), "columns": total_cols})
+        residual = float(np.max(np.abs(a @ solution - y)))
+        if residual > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(y)))):
+            raise ctgs.ReconstructionError(
+                "observations are inconsistent with the signal model",
+                {"unknowns": stage.unknowns, "residual": residual})
+        stages.append({"unknowns": stage.unknowns, "rows": len(y), "columns": total_cols,
+                       "residual": residual})
+        contents.update((u, solution[lo:lo + cols]) for u, lo, cols in blocks)
+    return contents, stages
+
+
+def unchecked_split(plan, donor, acceptor, amount):
+    """``split_rate_transform``'s plan without its recoverability check: the
+    oracle grids of ``split_grids_loop``, restaged."""
+    return ctgs.planner._with_stages(
+        replace(plan, grids=split_grids_loop(plan, donor, acceptor, amount)))

@@ -19,6 +19,7 @@ from helpers import (
     random_spectrum,
     split_grids_loop,
     spread_set,
+    unchecked_split,
 )
 
 LAM0_W0 = (0, 1, 2)
@@ -419,10 +420,43 @@ def test_repeated_split_reads_the_level_grid_rate(worked_bundle):
         ctgs.split_rate_transform(once, donor=1, acceptor=4, amount=1)
     with pytest.raises(ctgs.ProblemFormatError, match="exceeds"):
         ctgs.split_rate_transform(once, donor=1, acceptor=4, amount=4)
-    drained = ctgs.split_rate_transform(plan, donor=1, acceptor=4, amount=4)
+    # draining level 1 onto vertex 1 leaves its merged stage rank deficient
+    with pytest.raises(ctgs.ProblemFormatError, match="unrecoverable"):
+        ctgs.split_rate_transform(plan, donor=1, acceptor=4, amount=4)
+    # the first random plan with a recoverable full drain: instance 1,
+    # level 1 (b = 5/2 at vertex 2) drained onto vertex 3
+    _, _, bundle = list(plannable_instances(11, 2))[1]
+    plan = bundle[4]
+    drained = ctgs.split_rate_transform(plan, donor=3, acceptor=2, amount=Fraction(5, 2))
     assert all(g.grid_id != "level:1" for g in drained.grids)
     with pytest.raises(ctgs.ProblemFormatError, match="exceeds"):
-        ctgs.split_rate_transform(drained, donor=0, acceptor=4, amount=1)
+        ctgs.split_rate_transform(drained, donor=0, acceptor=2, amount=1)
+
+
+def test_split_refuses_exactly_the_unrecoverable_splits():
+    """Every single half-split of the levels of 150 random plans (seed 11,
+    n <= 7) is refused exactly when its plan fails the sample/recover round
+    trip at its least period; 77 of the 463 do."""
+    splits, refused = 0, 0
+    for spectrum, _, bundle in plannable_instances(11, 150):
+        plan = bundle[4]
+        for spec in plan.levels:
+            half = spec.step.b_star / 2
+            for donor in range(plan.n):
+                if donor == spec.vertex or abs(plan.visibility(("level", spec.step.level),
+                                                               donor)) <= 1e-10:
+                    continue
+                splits += 1
+                recoverable = ctgs.sampling.plan_roundtrip_ok(
+                    unchecked_split(plan, donor, spec.vertex, half), spectrum)
+                try:
+                    moved = ctgs.split_rate_transform(plan, donor, spec.vertex, half)
+                except ctgs.ProblemFormatError as exc:
+                    assert not recoverable and "unrecoverable" in str(exc)
+                    refused += 1
+                    continue
+                assert recoverable and ctgs.sampling.plan_roundtrip_ok(moved, spectrum)
+    assert (refused, splits) == (77, 463)
 
 
 def test_plans_match_placement_and_stage_oracles():

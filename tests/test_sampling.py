@@ -7,7 +7,7 @@ import pytest
 import ctgs
 from ctgs.sampling import RealizedGrid
 
-from helpers import plannable_instances
+from helpers import plannable_instances, recover_dense, spread_set, unchecked_split
 
 
 def _base_only(sample_set):
@@ -376,6 +376,116 @@ def test_oracle_members_recoverable(worked_spectrum, worked_bundle):
         assert max(e["error"] for e in errors.values()) < 1e-9
 
 
+def _oracle_sweep():
+    """150 random plans (seed 11, n <= 7) at 1, 2, 3, 4, 8 and 32 times their
+    least period, and every single half-split of their levels, unchecked,
+    at 1 and 2 times theirs."""
+    for _, _, bundle in plannable_instances(11, 150):
+        plan = bundle[4]
+        yield plan, (1, 2, 3, 4, 8, 32)
+        for spec in plan.levels:
+            unknown = ("level", spec.step.level)
+            for donor in range(plan.n):
+                if donor != spec.vertex and abs(plan.visibility(unknown, donor)) > 1e-10:
+                    yield unchecked_split(plan, donor, spec.vertex, spec.step.b_star / 2), (1, 2)
+
+
+def test_recover_matches_dense_lstsq_oracle():
+    """Per-class recovery gives the dense per-stage lstsq's verdict, stage
+    rows and columns, rank when deficient, and coefficients to 1e-8."""
+    recoveries = deficient = 0
+    for plan, multiples in _oracle_sweep():
+        least = ctgs.numerics.least_period([g.rate for g in plan.grids])
+        for multiple in multiples:
+            period = multiple * least
+            truth = ctgs.signals.assemble(
+                plan, "periodic", period, ctgs.signals.draw_contents(plan, "periodic", period, 0))
+            sset = ctgs.build_sample_set(plan, "periodic", period)
+            obs = ctgs.sample_signal(truth, sset)
+            recoveries += 1
+            try:
+                want, stages = recover_dense(obs, plan, sset)
+            except ctgs.ReconstructionError as exc:
+                with pytest.raises(ctgs.ReconstructionError) as got:
+                    ctgs.recover(obs, plan, None, sset)
+                assert str(got.value) == str(exc)
+                assert got.value.diagnostics.get("rank") == exc.diagnostics.get("rank")
+                assert got.value.diagnostics.get("columns") == exc.diagnostics.get("columns")
+                deficient += "rank" in exc.diagnostics
+                continue
+            result = ctgs.recover(obs, plan, None, sset)
+            assert ([(s["unknowns"], s["rows"], s["columns"]) for s in result.diagnostics["stages"]]
+                    == [(s["unknowns"], s["rows"], s["columns"]) for s in stages])
+            for unknown, coeffs in want.items():
+                got = result.per_level_contents[unknown]
+                assert got.shape == coeffs.shape
+                if coeffs.size:
+                    scale = max(1.0, float(np.max(np.abs(coeffs))))
+                    assert np.max(np.abs(got - coeffs)) <= 1e-8 * scale
+    assert recoveries == 1826
+    assert deficient > 0
+
+
+def test_periodic_recover_makes_one_svd_per_block_shape(worked_spectrum, worked_bundle,
+                                                        monkeypatch):
+    """At 32 times the least period the worked example recovers with no
+    lstsq and at most one SVD per (stage, block shape)."""
+    _, finite, _, _, plan = worked_bundle
+    period = 32 * ctgs.numerics.least_period([g.rate for g in plan.grids])
+    sset = ctgs.build_sample_set(plan, "periodic", period)
+    obs = ctgs.sample_signal(
+        ctgs.synthesize_signal(worked_spectrum, finite, 3, "periodic", period, plan=plan), sset)
+    shapes = 0
+    grids = {g.grid_id: g for g in sset.grids}
+    for stage in plan.stages:
+        m = math.gcd(*(len(grids[gid].times) for gid in stage.grid_ids))
+        cutoffs = [ctgs.numerics.harmonic_cutoff(plan.unknown_bandwidth(u), period)
+                   for u in stage.unknowns]
+        k = np.concatenate([np.arange(-c, c + 1) for c in cutoffs])
+        sizes = np.bincount(k % m, minlength=m)[:m // 2 + 1]
+        shapes += len(set(sizes.tolist()) - {0})
+    calls = {"svd": 0, "lstsq": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    result = ctgs.recover(obs, plan, worked_spectrum, sset)
+    assert calls["lstsq"] == 0
+    assert 0 < calls["svd"] <= shapes
+    assert sum(s["rows"] for s in result.diagnostics["stages"]) == sset.n_points()
+
+
+def test_spread_certificate_matches_round_trip():
+    """On maximal spread sets of the oracle-sweep plans, a spread
+    construction passes the rank certificate exactly when it survives the
+    sample/recover round trip; many constructions fail both."""
+    planner = ctgs.planner
+    checked = failed = 0
+    for spectrum, _, bundle in plannable_instances(11, 150):
+        plan = bundle[4]
+        if not plan.base_vertices:
+            continue
+        v_star = spread_set(spectrum, plan)
+        args = (spectrum, plan.base_lambda0, plan.vertex_bw)
+        valid = planner.validate_spread_set(spectrum, plan.base_lambda0, plan.base_vertices,
+                                            v_star)
+        for option in (planner._prefix_spread_grids(*args, *valid),
+                       planner._level_spread_grids(*args, *valid)):
+            candidate = planner._spread_plan(plan, option, v_star)
+            certified = not ctgs.sampling.rank_deficient_stages(candidate)
+            assert certified == ctgs.sampling.plan_roundtrip_ok(candidate, spectrum)
+            checked += 1
+            failed += not certified
+    assert checked > 200 and failed > checked // 2
+
+
 # --- sampling-operator analysis ---------------------------------------------
 
 def test_single_deletions_keep_uniqueness(worked_bundle):
@@ -461,18 +571,40 @@ def test_recover_evaluates_each_grid_basis_once(worked_spectrum, worked_bundle, 
         return width, counted
 
     monkeypatch.setattr(ctgs.sampling, "scalar_basis", counted_basis)
+    windows = []
+    original_window = ctgs.sampling._first_window_design
+
+    def counted_window(times, freqs):
+        windows.append(times.tolist())
+        return original_window(times, freqs)
+
+    monkeypatch.setattr(ctgs.sampling, "_first_window_design", counted_window)
     result = ctgs.recover(obs, plan, worked_spectrum, sset)
-    grids_at = {}
-    for g in sset.grids:
-        key = tuple(g.float_times)
-        grids_at[key] = grids_at.get(key, 0) + 1
-    seen = {}
-    for bw, times in evaluations:
-        seen[bw, times] = seen.get((bw, times), 0) + 1
-    # grids sharing their times may each evaluate; no grid evaluates twice
-    assert all(count <= grids_at[times] for (_, times), count in seen.items())
-    assert len(evaluations) <= len(sset.grids) * len({plan.unknown_bandwidth(u)
-                                                      for u in plan.unknowns})
-    assert len({bw for bw, _ in evaluations}) > 1
+    if mode == "periodic":
+        # each stage builds one design, over its grids' first windows (the
+        # samples of one least period of the stage's rates), each grid once
+        grids = {g.grid_id: g for g in sset.grids}
+        expected = []
+        for stage in plan.stages:
+            stage_grids = [grids[gid] for gid in stage.grid_ids]
+            m = math.gcd(*(len(g.times) for g in stage_grids))
+            expected.append([t for g in stage_grids
+                             for t in g.float_times[:len(g.times) // m].tolist()])
+        assert windows == expected
+        assert sum(map(len, windows)) < sset.n_points()
+        assert not evaluations
+    else:
+        grids_at = {}
+        for g in sset.grids:
+            key = tuple(g.float_times)
+            grids_at[key] = grids_at.get(key, 0) + 1
+        seen = {}
+        for bw, times in evaluations:
+            seen[bw, times] = seen.get((bw, times), 0) + 1
+        # grids sharing their times may each evaluate; no grid evaluates twice
+        assert all(count <= grids_at[times] for (_, times), count in seen.items())
+        assert len(evaluations) <= len(sset.grids) * len({plan.unknown_bandwidth(u)
+                                                          for u in plan.unknowns})
+        assert len({bw for bw, _ in evaluations}) > 1
     monkeypatch.undo()
     assert result.diagnostics == ctgs.recover(obs, plan, worked_spectrum, sset).diagnostics
