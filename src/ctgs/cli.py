@@ -174,8 +174,7 @@ def _cmd_simulate(problem, args):
         domain = window if window is not None else (Fraction(-20), Fraction(20))
         domain_desc = {"window": [domain[0], domain[1]]}
     sset = build_sample_set(plan, mode, domain)
-    truth = synthesize_signal(spectrum, finite, seed, mode, domain,
-                              plan=plan, filtration=filtration, sequence=seq)
+    truth = synthesize_signal(spectrum, finite, seed, mode, domain, plan=plan)
     obs = sample_signal(truth, sset)
     result = recover(obs, plan, spectrum, sset)
     errors = recovery_error(truth, result.recovered, mode, domain, plan.n)

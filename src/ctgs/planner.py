@@ -407,38 +407,41 @@ def _with_stages(plan: SamplingPlan) -> SamplingPlan:
     return replace(plan, stages=_compute_stages(plan))
 
 
-def make_plan(spectrum: Spectrum, profile: BandwidthProfile,
-              filtration: Filtration, seq: AdmissibleSequence) -> SamplingPlan:
-    """Assemble grids and the recovery schedule from an admissible sequence."""
-    v0 = seq.v_sets[0]
-    lam00 = filtration.levels[0].lambda0
-    base_ext = extension_matrix(spectrum, lam00, v0)
+def base_plan(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence,
+              v0: Sequence[int]) -> SamplingPlan:
+    """The unstaged base level of a plan on the uniqueness set ``v0``: one
+    rate-2B grid per base vertex in ascending (B, index) order (a zero-rate
+    vertex gets an empty stage) and the base extension map, its one solve."""
+    v0 = tuple(sorted(set(v0)))
     grids = []
     base_stages = []
-    for w in sorted(v0, key=lambda v: (profile.vertex_bw[v], v)):
-        rate = 2 * Fraction(profile.vertex_bw[w])
+    for w in sorted(v0, key=lambda v: (vertex_bw[v], v)):
+        rate = 2 * Fraction(vertex_bw[w])
         if rate == 0:
             base_stages.append((w, ()))
             continue
         gid = f"base:{w}"
         grids.append(Grid(grid_id=gid, vertex=w, rate=rate, phase=Fraction(0)))
         base_stages.append((w, (gid,)))
+    return SamplingPlan(vertex_bw=tuple(vertex_bw), base_vertices=v0,
+                        base_lambda0=tuple(lambda0),
+                        base_extension=extension_matrix(spectrum, lambda0, v0),
+                        levels=(), grids=tuple(grids), base_stages=tuple(base_stages))
+
+
+def make_plan(spectrum: Spectrum, profile: BandwidthProfile,
+              filtration: Filtration, seq: AdmissibleSequence) -> SamplingPlan:
+    """Assemble grids and the recovery schedule from an admissible sequence."""
+    base = base_plan(spectrum, filtration.levels[0].lambda0, profile.vertex_bw, seq.v_sets[0])
     levels = []
+    grids = list(base.grids)
     for i in range(1, filtration.depth + 1):
         step, vi = filtration.step_at(i), seq.added[i - 1]
         levels.append(LevelSpec(step=step, vertex=vi))
         rate = 2 * step.b_star
         if rate > 0:
             grids.append(Grid(grid_id=f"level:{i}", vertex=vi, rate=rate, phase=Fraction(0)))
-    plan = SamplingPlan(
-        vertex_bw=profile.vertex_bw,
-        base_vertices=tuple(v0),
-        base_lambda0=lam00,
-        base_extension=base_ext,
-        levels=tuple(levels),
-        grids=tuple(grids),
-        base_stages=tuple(base_stages),
-    )
+    plan = replace(base, levels=tuple(levels), grids=tuple(grids))
     expected = seq.base_rate + sum(seq.quotient_rates, Fraction(0))
     if plan.total_rate != expected:
         raise AssertionError("plan rate disagrees with the sequence rates")
@@ -489,8 +492,6 @@ def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) 
     recoverability certificate, ``sampling.rank_deficient_stages``) is
     refused.
     """
-    from .sampling import rank_deficient_stages
-
     amount = Fraction(amount)
     if amount < 0:
         raise ProblemFormatError("split amount must be non-negative")
@@ -538,20 +539,29 @@ def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) 
         notes=plan.notes + (f"split level {level}: rate {donated_rate} moved to vertex {donor}",))
     if moved.total_rate != plan.total_rate:
         raise AssertionError("split changed the total rate")
-    moved = _with_stages(moved)
-    deficient = rank_deficient_stages(moved)
+    return _certified(_with_stages(moved), "split")
+
+
+def _certified(plan: SamplingPlan, action: str) -> SamplingPlan:
+    """``plan`` if it passes the recoverability certificate; otherwise the
+    refusal of ``action``, naming the first rank-deficient stage."""
+    from .sampling import rank_deficient_stages
+
+    deficient = rank_deficient_stages(plan)
     if deficient:
         unknowns, rank, columns = deficient[0]
         raise ProblemFormatError(
-            f"split leaves the stage of {list(unknowns)} unrecoverable: "
+            f"{action} leaves the stage of {list(unknowns)} unrecoverable: "
             f"rank {rank} of {columns} columns at the least period")
-    return moved
+    return plan
 
 
 def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
                         v0: Sequence[int], v_star: Sequence[int]) -> tuple:
     """Check the spreading premise: V0 inside V*, every |V0|-subset of V*
-    a uniqueness set. Returns (sorted v0, sorted v_star)."""
+    a uniqueness set: the eccentricity bound's full-spark premise, NP-hard
+    to decide in general (Alexeev, Cahill and Mixon 2012), so every subset
+    is checked. Returns (sorted v0, sorted v_star)."""
     v0 = tuple(sorted(set(v0)))
     v_star = tuple(sorted(set(v_star)))
     if not v0:
@@ -565,20 +575,14 @@ def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
     return v0, v_star
 
 
-def carrier_partition(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence,
-                      v0: Sequence[int], v_star: Sequence[int]) -> list:
-    """Partition ``v_star`` into carrier groups, one per sorted base vertex.
+def _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
+    """Partition a validated ``v_star`` into carrier groups, one per sorted
+    base vertex.
 
     A vertex of ``v_star`` belongs to the group of the last base vertex of
     its minimal dependent prefix; the base vertex itself anchors its group.
+    One dependence mask per base prefix decides every spread vertex.
     """
-    return _carrier_groups(spectrum, lambda0, vertex_bw,
-                           *validate_spread_set(spectrum, lambda0, v0, v_star))
-
-
-def _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
-    """:func:`carrier_partition` of a validated (sorted v0, sorted v_star):
-    one dependence mask per base prefix decides every spread vertex."""
     ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
     groups = [[w] for w in ordered]
     pending = [u for u in v_star if u not in v0]
@@ -731,26 +735,14 @@ def _place_spread_grids(spread_grids, existing_grids) -> list:
     return out
 
 
-def choose_spread(spectrum, lambda0, vertex_bw, v0, v_star):
-    """Pick the lower-eccentricity spread of the two constructions: the one
-    with the lower top per-vertex rate, spread A on a tie."""
+def choose_spread(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
+    """Both spread constructions, best first: the lower top per-vertex rate
+    (the lower eccentricity) first, spread A on a tie."""
     valid = validate_spread_set(spectrum, lambda0, v0, v_star)
     options = [_prefix_spread_grids(spectrum, lambda0, vertex_bw, *valid),
                _level_spread_grids(spectrum, lambda0, vertex_bw, *valid)]
-    return min(options, key=lambda opt: max(rates_by_vertex(opt[0]).values(),
-                                            default=Fraction(0)))
-
-
-def _runner_up_spread(spectrum, lambda0, vertex_bw, v0, v_star, best):
-    """The construction :func:`choose_spread` passed over for ``best``,
-    built alone on the spread set ``best`` was built on and validated for.
-    Spread B costs no rank decision, so it is rebuilt to tell which one
-    ``best`` is."""
-    valid = (tuple(sorted(set(v0))), tuple(sorted(set(v_star))))
-    level = _level_spread_grids(spectrum, lambda0, vertex_bw, *valid)
-    if level == tuple(best):
-        return _prefix_spread_grids(spectrum, lambda0, vertex_bw, *valid)
-    return level
+    return sorted(options, key=lambda opt: max(rates_by_vertex(opt[0]).values(),
+                                               default=Fraction(0)))
 
 
 def _spread_plan(plan: SamplingPlan, spread, v_star: Sequence[int]) -> SamplingPlan:
@@ -771,20 +763,18 @@ def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum,
     """Spread the base sampling load over ``v_star`` without changing the rate.
 
     With quotient levels present, spread carriers observe quotient content
-    too, which can starve a construction of information; each construction
-    must therefore pass the recoverability certificate (every stage of full
-    column rank at the least period), best eccentricity first, and the
-    other one is built only when the best fails.
+    too, which can starve a construction of information; the first
+    construction in :func:`choose_spread`'s order whose plan passes the
+    recoverability certificate (every stage of full column rank at the least
+    period) is returned. When neither does, the refusal names the best
+    construction's first rank-deficient stage.
     """
-    from .sampling import rank_deficient_stages
-
-    args = (spectrum, plan.base_lambda0, plan.vertex_bw, plan.base_vertices, v_star)
-    best = choose_spread(*args)
-    candidate = _spread_plan(plan, best, v_star)
-    if not rank_deficient_stages(candidate):
-        return candidate
-    candidate = _spread_plan(plan, _runner_up_spread(*args, best), v_star)
-    if not rank_deficient_stages(candidate):
-        return candidate
-    raise ProblemFormatError(
-        "spreading the base load over this set breaks recoverability of the full plan")
+    refusal = None
+    for spread in choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
+                                plan.base_vertices, v_star):
+        try:
+            return _certified(_spread_plan(plan, spread, v_star),
+                              "spreading the base load over this set")
+        except ProblemFormatError as exc:
+            refusal = refusal or exc
+    raise refusal

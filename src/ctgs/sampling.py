@@ -11,9 +11,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dependence import is_uniqueness_set
 from .errors import ProblemFormatError, ReconstructionError
 from .numerics import least_period
-from .planner import SamplingPlan, _place_spread_grids, choose_spread, rates_by_vertex
+from .planner import SamplingPlan, base_plan, rates_by_vertex, redistribute_plan
 from .signals import (
     GraphSignal,
     assemble,
@@ -134,25 +135,22 @@ def redistribute(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence
                  v0: Sequence[int], v_star: Sequence[int], sample_set: SampleSet) -> SampleSet:
     """Spread a base sampling set over ``v_star`` without changing its rate.
 
-    Requires every |V0|-subset of ``v_star`` to be a uniqueness set and the
-    input grids to sit on the base set at its nominal rates. Of the two
-    spread constructions (per-vertex carrier groups, level-wise increments)
-    the one with the lower eccentricity is realized.
+    ``sample_set`` holds one rate-2B grid per positive-bandwidth vertex of
+    the base uniqueness set ``v0``. The base-level plan alone is spread by
+    :func:`planner.redistribute_plan` and realized on ``sample_set``'s
+    domain; a plan with quotient levels is spread by ``redistribute_plan``
+    itself, as the CLI does.
     """
-    v0 = tuple(sorted(set(v0)))
-    by_vertex = {g.vertex: g for g in sample_set.grids}
-    if set(by_vertex) - set(v0):
-        raise ProblemFormatError("sample set has grids outside the base uniqueness set")
-    for w, grid in by_vertex.items():
-        if grid.rate != 2 * Fraction(vertex_bw[w]):
-            raise ProblemFormatError(
-                f"grid at vertex {w} has rate {grid.rate}, expected 2*{vertex_bw[w]}")
-    spread_grids, _ = choose_spread(spectrum, lambda0, vertex_bw, v0, v_star)
-    spread = _realize(_place_spread_grids(spread_grids, ()), sample_set.n, sample_set.mode,
-                      sample_set.domain)
-    if sample_rate(spread) != sample_rate(sample_set):
-        raise AssertionError("redistribution changed the sample rate")
-    return spread
+    if not is_uniqueness_set(spectrum, lambda0, v0):
+        raise ProblemFormatError(f"the base set {tuple(sorted(set(v0)))} is not a uniqueness set")
+    plan = base_plan(spectrum, lambda0, vertex_bw, v0)
+    want = sorted((g.vertex, g.rate) for g in plan.grids)
+    if sorted((g.vertex, g.rate) for g in sample_set.grids) != want:
+        raise ProblemFormatError(
+            "a base sample set holds one grid per positive-bandwidth base vertex, at rate 2B: "
+            + (", ".join(f"rate {r} at vertex {v}" for v, r in want) or "none"))
+    return build_sample_set(redistribute_plan(plan, spectrum, v_star), sample_set.mode,
+                            sample_set.domain)
 
 
 def prop_bound_eccentricity(n: int, sorted_bw: Sequence, m_prime: int, total_rate) -> Fraction:

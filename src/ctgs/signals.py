@@ -248,17 +248,18 @@ def assemble(plan: SamplingPlan, mode: str, domain, contents: dict) -> GraphSign
 
 def synthesize_signal(spectrum: Spectrum, profile: BandwidthProfile, seed,
                       mode: str, period_or_window, plan: Optional[SamplingPlan] = None,
-                      filtration=None, sequence=None) -> GraphSignal:
+                      filtration=None) -> GraphSignal:
     """Random member of the signal space built from free base content plus
     one quotient witness per filtration level.
 
-    When ``plan`` is omitted it is derived from the profile. Periodic-mode
-    output is verified against the membership checker before being returned.
+    When ``plan`` is omitted it is derived from the profile; ``filtration``
+    is unread and kept for callers that pass it. Periodic-mode output is
+    verified against the membership checker before being returned.
     """
     from .planner import plan_problem
 
     if plan is None:
-        _, profile, filtration, sequence, plan = plan_problem(spectrum, profile)
+        _, profile, _, _, plan = plan_problem(spectrum, profile)
     if mode == "periodic":
         domain = Fraction(period_or_window)
     elif mode == "sinc":

@@ -463,3 +463,28 @@ def unchecked_split(plan, donor, acceptor, amount):
     oracle grids of ``split_grids_loop``, restaged."""
     return ctgs.planner._with_stages(
         replace(plan, grids=split_grids_loop(plan, donor, acceptor, amount)))
+
+
+def redistribute_placement_only(spectrum, lambda0, vertex_bw, v0, v_star, sample_set):
+    """Oracle for ``sampling.redistribute``: the lower-eccentricity spread
+    construction (spread A on a tie), placed alone on its vertices and
+    realized on ``sample_set``'s domain, with no recoverability check."""
+    planner = ctgs.planner
+    v0 = tuple(sorted(set(v0)))
+    by_vertex = {g.vertex: g for g in sample_set.grids}
+    if set(by_vertex) - set(v0):
+        raise ctgs.ProblemFormatError("sample set has grids outside the base uniqueness set")
+    for w, grid in by_vertex.items():
+        if grid.rate != 2 * Fraction(vertex_bw[w]):
+            raise ctgs.ProblemFormatError(
+                f"grid at vertex {w} has rate {grid.rate}, expected 2*{vertex_bw[w]}")
+    valid = planner.validate_spread_set(spectrum, lambda0, v0, v_star)
+    spread_grids, _ = min(
+        [planner._prefix_spread_grids(spectrum, lambda0, vertex_bw, *valid),
+         planner._level_spread_grids(spectrum, lambda0, vertex_bw, *valid)],
+        key=lambda opt: max(planner.rates_by_vertex(opt[0]).values(), default=Fraction(0)))
+    spread = ctgs.sampling._realize(planner._place_spread_grids(spread_grids, ()),
+                                    sample_set.n, sample_set.mode, sample_set.domain)
+    if ctgs.sample_rate(spread) != ctgs.sample_rate(sample_set):
+        raise AssertionError("redistribution changed the sample rate")
+    return spread

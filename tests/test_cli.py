@@ -83,8 +83,7 @@ def test_redistribute_computes_one_spread(worked_problem_file, capsys, monkeypat
         calls.append(args)
         return original(*args)
 
-    for module in (ctgs.planner, ctgs.sampling):
-        monkeypatch.setattr(module, "choose_spread", counted)
+    monkeypatch.setattr(ctgs.planner, "choose_spread", counted)
     code, _, _ = _run(capsys, ["redistribute", "--input", worked_problem_file,
                                "--vstar", "v2,v3,v4"])
     assert code == 0
@@ -130,7 +129,7 @@ def test_redistribute_reports_the_spread_the_plan_uses(tmp_path, capsys):
     spectrum = ctgs.eigendecompose(problem.shift, tol=problem.options.tolerance)
     plan = ctgs.plan_problem(spectrum, problem.profile)[4]
     best = ctgs.planner.choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
-                                      plan.base_vertices, v_star)
+                                      plan.base_vertices, v_star)[0]
     returned = ctgs.redistribute_plan(plan, spectrum, v_star)
     assert returned.grids != ctgs.planner._spread_plan(plan, best, v_star).grids
     base_rates = ctgs.planner.rates_by_vertex(

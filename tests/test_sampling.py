@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import ctgs
 from ctgs.sampling import RealizedGrid
 
-from helpers import plannable_instances, recover_dense, spread_set, unchecked_split
+from helpers import (plannable_instances, recover_dense, redistribute_placement_only, spread_set,
+                     unchecked_split)
 
 
 def _base_only(sample_set):
@@ -101,11 +103,45 @@ def test_redistribute_rejects_bad_spread_set(worked_spectrum, worked_bundle, wor
                           plan.base_vertices, (2, 3, 4), base)
 
 
-def test_carrier_partition_rejects_bad_spread_set(worked_spectrum, worked_bundle):
+def test_redistribute_rejects_bad_base_input(worked_spectrum, worked_bundle, worked_sets):
+    """The base set must be a uniqueness set, and the base sample set needs
+    one grid per positive-bandwidth base vertex: a missing grid and a
+    doubled one are both input errors."""
     _, finite, _, _, plan = worked_bundle
-    with pytest.raises(ctgs.ProblemFormatError):
-        ctgs.planner.carrier_partition(worked_spectrum, plan.base_lambda0, finite.vertex_bw,
-                                       plan.base_vertices, (2, 3, 4))
+    _, _, base = worked_sets
+    with pytest.raises(ctgs.ProblemFormatError, match="not a uniqueness set"):
+        ctgs.redistribute(worked_spectrum, plan.base_lambda0, finite.vertex_bw,
+                          (2,), (1, 2, 3), base)
+    grid = next(g for g in base.grids if g.grid_id == "base:2")
+    for grids in ((grid,), (grid, grid)):
+        bad = ctgs.SampleSet(n=base.n, mode=base.mode, period=base.period, window=None,
+                             grids=grids)
+        with pytest.raises(ctgs.ProblemFormatError, match="one grid per positive-bandwidth"):
+            ctgs.redistribute(worked_spectrum, plan.base_lambda0, finite.vertex_bw,
+                              plan.base_vertices, (1, 2, 3), bad)
+
+
+def test_redistribute_matches_placement_only_oracle():
+    """On the base sets of the oracle-sweep plans and their maximal spread
+    sets, the library spread (the base plan through ``redistribute_plan``)
+    realizes the same grids as the placement-only oracle."""
+    checked = 0
+    for spectrum, _, bundle in plannable_instances(11, 150):
+        plan = bundle[4]
+        if not plan.base_vertices:
+            continue
+        v_star = spread_set(spectrum, plan)
+        ranked = ctgs.planner.choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
+                                            plan.base_vertices, v_star)
+        period = ctgs.numerics.least_period(
+            [g.rate for g in plan.grids] + [g.rate for opt in ranked for g in opt[0]])
+        base = _base_only(ctgs.build_sample_set(plan, "periodic", period))
+        args = (spectrum, plan.base_lambda0, plan.vertex_bw, plan.base_vertices, v_star, base)
+        got, want = ctgs.redistribute(*args), redistribute_placement_only(*args)
+        assert [(g.vertex, g.rate, g.phase, g.times) for g in got.grids] \
+            == [(g.vertex, g.rate, g.phase, g.times) for g in want.grids]
+        checked += 1
+    assert checked > 100
 
 
 def _first_recoverable_spread(plan, spectrum, v_star):
@@ -151,13 +187,17 @@ def test_redistribute_plan_falls_back_to_runner_up(monkeypatch):
             v_star.append(v)
         want = _first_recoverable_spread(plan, spectrum, v_star)
         best = planner.choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
-                                     plan.base_vertices, v_star)
-        if want is not None and want.grids != planner._spread_plan(plan, best, v_star).grids:
+                                     plan.base_vertices, v_star)[0]
+        best_plan = planner._spread_plan(plan, best, v_star)
+        if want is not None and want.grids != best_plan.grids:
             fallbacks.add("B" if any(":inc:" in g.grid_id for g in want.grids) else "A")
         validations.clear()
         monkeypatch.setattr(planner, "validate_spread_set", counted)
         if want is None:
-            with pytest.raises(ctgs.ProblemFormatError):
+            unknowns, rank, columns = ctgs.sampling.rank_deficient_stages(best_plan)[0]
+            refusal = (f"the stage of {list(unknowns)} unrecoverable: "
+                       f"rank {rank} of {columns} columns")
+            with pytest.raises(ctgs.ProblemFormatError, match=re.escape(refusal)):
                 ctgs.redistribute_plan(plan, spectrum, v_star)
         else:
             assert ctgs.redistribute_plan(plan, spectrum, v_star).grids == want.grids
@@ -190,10 +230,10 @@ def test_redistribute_random_instances_respect_bound():
         if not all(ctgs.is_uniqueness_set(spectrum, plan.base_lambda0, sub)
                    for sub in combinations(v_star, len(v0))):
             continue
-        spread_grids, _ = ctgs.planner.choose_spread(
+        ranked = ctgs.planner.choose_spread(
             spectrum, plan.base_lambda0, finite.vertex_bw, v0, v_star)
         period = ctgs.numerics.least_period(
-            [g.rate for g in plan.grids] + [g.rate for g in spread_grids])
+            [g.rate for g in plan.grids] + [g.rate for opt in ranked for g in opt[0]])
         full = ctgs.build_sample_set(plan, "periodic", period)
         base = _base_only(full)
         spread = ctgs.redistribute(spectrum, plan.base_lambda0, finite.vertex_bw,
