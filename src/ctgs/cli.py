@@ -75,6 +75,14 @@ def _resolve_options(problem, args):
     return mode, period, window, seed, tolerance
 
 
+def _domain(mode, period, window, grids):
+    """The period in periodic mode, by default the least period of
+    ``grids``; the window in sinc mode, by default (-20, 20)."""
+    if mode == "periodic":
+        return period if period is not None else least_period([g.rate for g in grids])
+    return window if window is not None else (Fraction(-20), Fraction(20))
+
+
 def _parse_vstar(problem, raw):
     if raw is None:
         if problem.options.v_star is None:
@@ -152,27 +160,18 @@ def _cmd_plan(problem, args):
     }
     artifacts = {}
     if args.format == "csv" or args.output:
+        domain = _domain(mode, period, window, plan.grids)
         if mode == "periodic":
-            per = period if period is not None else least_period([g.rate for g in plan.grids])
-            sset = build_sample_set(plan, "periodic", per)
-            report["period"] = per
-        else:
-            win = window if window is not None else (Fraction(-20), Fraction(20))
-            sset = build_sample_set(plan, "sinc", win)
-        artifacts["sample_set.csv"] = reports.sample_set_csv(sset)
+            report["period"] = domain
+        artifacts["sample_set.csv"] = reports.sample_set_csv(build_sample_set(plan, mode, domain))
     return report, artifacts
 
 
 def _cmd_simulate(problem, args):
     mode, period, window, seed, tolerance = _resolve_options(problem, args)
     spectrum, cert, finite, filtration, seq, plan = _plan_bundle(problem, tolerance)
-    if mode == "periodic":
-        per = period if period is not None else least_period([g.rate for g in plan.grids])
-        domain = per
-        domain_desc = {"period": per}
-    else:
-        domain = window if window is not None else (Fraction(-20), Fraction(20))
-        domain_desc = {"window": [domain[0], domain[1]]}
+    domain = _domain(mode, period, window, plan.grids)
+    domain_desc = {"period": domain} if mode == "periodic" else {"window": list(domain)}
     sset = build_sample_set(plan, mode, domain)
     truth = synthesize_signal(spectrum, finite, seed, mode, domain, plan=plan)
     obs = sample_signal(truth, sset)
@@ -224,14 +223,10 @@ def _cmd_redistribute(problem, args):
     spectrum, cert, finite, filtration, seq, plan = _plan_bundle(problem, tolerance)
     labels = problem.graph.vertex_labels
     # ``after`` describes the base grids of the plan returned, whichever
-    # spread construction passed its round trip
+    # spread construction passed the recoverability certificate
     spread_plan = redistribute_plan(plan, spectrum, v_star)
-    if mode == "periodic":
-        per = period if period is not None else least_period(
-            [g.rate for g in plan.grids + spread_plan.grids if g.grid_id.startswith("base")])
-        domain = per
-    else:
-        domain = window if window is not None else (Fraction(-20), Fraction(20))
+    domain = _domain(mode, period, window, [g for g in plan.grids + spread_plan.grids
+                                            if g.grid_id.startswith("base")])
     base_only = _base_sample_set(plan, mode, domain)
     spread = _base_sample_set(spread_plan, mode, domain)
     sorted_bw = sorted(Fraction(finite.vertex_bw[v]) for v in plan.base_vertices)

@@ -561,7 +561,10 @@ def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
     """Check the spreading premise: V0 inside V*, every |V0|-subset of V*
     a uniqueness set: the eccentricity bound's full-spark premise, NP-hard
     to decide in general (Alexeev, Cahill and Mixon 2012), so every subset
-    is checked. Returns (sorted v0, sorted v_star)."""
+    is checked. The recoverability certificate is no substitute: on the
+    worked example it accepts spreads over V* = (2, 3, 4), (1, 2, 3, 4) and
+    (0, 1, 2, 3, 4) whose eccentricities exceed the bound. Returns (sorted
+    v0, sorted v_star)."""
     v0 = tuple(sorted(set(v0)))
     v_star = tuple(sorted(set(v_star)))
     if not v0:
@@ -579,21 +582,21 @@ def _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
     """Partition a validated ``v_star`` into carrier groups, one per sorted
     base vertex.
 
-    A vertex of ``v_star`` belongs to the group of the last base vertex of
-    its minimal dependent prefix; the base vertex itself anchors its group.
-    One dependence mask per base prefix decides every spread vertex.
+    A spread vertex joins the group of the last base vertex, in (B, index)
+    order, where its row of the base extension map has support (the
+    ``x_support`` rule of :func:`quotient_bound`): the vertex depends on a
+    base prefix exactly when its row vanishes past it. A zero row joins the
+    first group; the base vertex itself anchors its group. One solve
+    decides every spread vertex.
     """
     ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
+    columns = sorted(set(v0))
+    extension = extension_matrix(spectrum, lambda0, v0)[:, [columns.index(w) for w in ordered]]
     groups = [[w] for w in ordered]
-    pending = [u for u in v_star if u not in v0]
-    for k, group in enumerate(groups):
-        if not pending:
-            break
-        dependent = dependent_mask(spectrum, lambda0, ordered[:k + 1])
-        group.extend(u for u in pending if dependent[u])
-        pending = [u for u in pending if not dependent[u]]
-    if pending:
-        raise AssertionError("spread vertex not dependent on the full base set")
+    for u in v_star:
+        if u not in v0:
+            support = np.flatnonzero(x_support(extension[u]))
+            groups[support[-1] if support.size else 0].append(u)
     return [(w, tuple(sorted(g))) for w, g in zip(ordered, groups)]
 
 

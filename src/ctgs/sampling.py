@@ -14,7 +14,7 @@ import numpy as np
 from .dependence import is_uniqueness_set
 from .errors import ProblemFormatError, ReconstructionError
 from .numerics import least_period
-from .planner import SamplingPlan, base_plan, rates_by_vertex, redistribute_plan
+from .planner import SamplingPlan, Stage, base_plan, rates_by_vertex, redistribute_plan
 from .signals import (
     GraphSignal,
     assemble,
@@ -31,6 +31,9 @@ EPS = np.finfo(float).eps
 # Time points per signal evaluation in sinc-mode error quadrature; bounds
 # the memory of the times x columns cardinal-series design.
 QUADRATURE_BLOCK = 1024
+# Quadrature points per unit time, as a multiple of the highest basis-block
+# rate of the two signals compared in sinc mode.
+OVERSAMPLE = 32
 
 
 @dataclass(frozen=True)
@@ -302,6 +305,7 @@ class _PeriodicStage:
         self.layout, self.cols, self.top = layout, cols, len(freqs) // 2
         counts = [len(g.times) // m for g in grids]
         self.row_vertex = np.repeat([g.vertex for g in grids], counts)
+        self.rows = m * len(self.row_vertex)
         # every grid's first window, in one design
         self.design = _first_window_design(
             np.concatenate([g.float_times[:n] for g, n in zip(grids, counts)]), freqs)
@@ -368,16 +372,18 @@ class _PeriodicStage:
                                                      self.z[lo:lo + width])
 
 
-class _SincStage:
-    """A sinc stage: one real block of its grids' scaled designs, built once
-    per (grid, bandwidth) and shared with the subtraction of solved blocks."""
+class _DenseSystem:
+    """A stage as one real block: its grids' scaled designs, built once per
+    (grid, bandwidth) and shared with the subtraction of solved blocks.
+    Every sinc stage, and the whole observation map of ``sampling_operator``."""
 
     def __init__(self, plan, layout, cols, grids, bws, bases):
-        self.plan, self.layout, self.grids = plan, layout, grids
+        self.plan, self.layout, self.grids, self.cols = plan, layout, grids, cols
         self.bws, self.designs = bws, [_GridDesigns(bases, g.float_times) for g in grids]
-        matrix = np.vstack([_design_rows(plan, layout, cols, bws, designs, g.vertex)
-                            for g, designs in zip(grids, self.designs)])
-        self.groups = [(matrix[None], np.ones(1, int))]
+        self.matrix = np.vstack([_design_rows(plan, layout, cols, bws, designs, g.vertex)
+                                 for g, designs in zip(grids, self.designs)])
+        self.rows = len(self.matrix)
+        self.groups = [(self.matrix[None], np.ones(1, int))]
 
     def right_sides(self, values, solved) -> list:
         """The samples less the ``solved`` blocks each grid sees."""
@@ -399,14 +405,42 @@ class _SincStage:
         return {u: solutions[0][0, lo:lo + width] for u, lo, width in self.layout}
 
 
-def _rank(groups, singular_values, rows: int, cols: int) -> int:
-    """The stage rank: over the stacks of same-shape blocks, the weighted
-    count of singular values above eps * max(rows, cols) * the largest
-    singular value of any block (``lstsq``'s default cut)."""
+def _stage_systems(plan: SamplingPlan, sample_set: SampleSet, dense: bool = False) -> tuple:
+    """The one builder of stage systems over a realized sample set.
+
+    Returns the harmonics -top..top that periodic stages share (None for
+    dense systems) and, lazily per stage of the plan, its column layout,
+    column count, grids and system: a :class:`_PeriodicStage` on a
+    periodic set, a :class:`_DenseSystem` on a sinc set, and None when the
+    stage has no columns or no samples. With ``dense`` there is one stage,
+    every unknown over every grid of the set in order, as a dense system.
+    """
+    mode, domain = sample_set.mode, sample_set.domain
+    bws, bases = _bases(plan, mode, domain)
+    grids = {g.grid_id: g for g in sample_set.grids}
+    stages = (Stage(plan.unknowns, tuple(grids)),) if dense else plan.stages
+    freqs = _harmonics(bases, domain) if mode == "periodic" and not dense else None
+
+    def build(stage):
+        layout, cols = _layout(stage.unknowns, bws, bases)
+        stage_grids = [grids[gid] for gid in stage.grid_ids]
+        system = None
+        if cols and any(g.times for g in stage_grids):
+            system = (_DenseSystem(plan, layout, cols, stage_grids, bws, bases) if freqs is None
+                      else _PeriodicStage(plan, layout, cols, stage_grids, freqs))
+        return layout, cols, stage_grids, system
+
+    return freqs, map(build, stages)
+
+
+def _rank(system, singular_values) -> int:
+    """The stage rank: over the system's stacks of same-shape blocks, the
+    weighted count of singular values above eps * max(rows, cols) * the
+    largest singular value of any block (``lstsq``'s default cut)."""
     top = max((float(s.max()) for s in singular_values if s.size), default=0.0)
-    cut = EPS * max(rows, cols) * top
+    cut = EPS * max(system.rows, system.cols) * top
     return sum(int(weights @ (s > cut).sum(1))
-               for (_, weights), s in zip(groups, singular_values))
+               for (_, weights), s in zip(system.groups, singular_values))
 
 
 def _solve(factors, rhs) -> tuple:
@@ -448,37 +482,27 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
     the observations.
     """
     mode, domain = sample_set.mode, sample_set.domain
-    bws, bases = _bases(plan, mode, domain)
-    grids = {g.grid_id: g for g in sample_set.grids}
+    freqs, systems = _stage_systems(plan, sample_set)
     obs_by_grid = observation.by_grid()
     contents: dict = {}
     diagnostics: dict = {"stages": []}
-    if mode == "periodic":
-        freqs = _harmonics(bases, domain)
+    if freqs is not None:
         # all solved content at each vertex: complex harmonics -top..top
         seen = np.zeros((plan.n, len(freqs)), complex)
 
-    for stage in plan.stages:
-        layout, total_cols = _layout(stage.unknowns, bws, bases)
-        stage_grids = [grids[gid] for gid in stage.grid_ids]
+    for stage, (layout, total_cols, stage_grids, system) in zip(plan.stages, systems):
         values = [_stage_values(obs_by_grid, g) for g in stage_grids]
         if total_cols == 0:
             for unknown, _, _ in layout:
                 contents[unknown] = np.zeros(0)
             continue
-        n_rows = sum(len(y) for y in values)
-        if n_rows == 0:
+        if system is None:
             raise ReconstructionError("stage has unknowns but no observations",
                                       {"unknowns": stage.unknowns})
-        if mode == "periodic":
-            system = _PeriodicStage(plan, layout, total_cols, stage_grids, freqs)
-            rhs = system.right_sides(values, seen)
-        else:
-            system = _SincStage(plan, layout, total_cols, stage_grids, bws, bases)
-            rhs = system.right_sides(values, contents)
+        rhs = system.right_sides(values, contents if freqs is None else seen)
         # one SVD per stack of same-shape blocks
         factors = [np.linalg.svd(stack, full_matrices=False) for stack, _ in system.groups]
-        rank = _rank(system.groups, [s for _, s, _ in factors], n_rows, total_cols)
+        rank = _rank(system, [s for _, s, _ in factors])
         if rank < total_cols:
             raise ReconstructionError(
                 "rank-deficient reconstruction system",
@@ -489,10 +513,10 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
             raise ReconstructionError(
                 "observations are inconsistent with the signal model",
                 {"unknowns": stage.unknowns, "residual": residual})
-        diagnostics["stages"].append({"unknowns": stage.unknowns, "rows": n_rows,
+        diagnostics["stages"].append({"unknowns": stage.unknowns, "rows": system.rows,
                                       "columns": total_cols, "residual": residual})
         contents.update(system.contents(solutions))
-        if mode == "periodic":
+        if freqs is not None:
             system.add_solved(plan, seen)
 
     # bases first, then levels ascending: summed in this order, ``recovered``
@@ -508,22 +532,14 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
 def rank_deficient_stages(plan: SamplingPlan) -> list:
     """The recoverability certificate: each stage whose periodic system at
     the plan's least period lacks full column rank, as (unknowns, rank,
-    columns). Reads the ranks ``recover`` decides, from the same blocks;
-    needs no signal and no observations."""
+    columns). Ranks the systems ``recover`` builds and solves, with the
+    same cut; needs no signal and no observations."""
     period = least_period([g.rate for g in plan.grids])
-    bws, bases = _bases(plan, "periodic", period)
-    freqs = _harmonics(bases, period)
-    grids = {g.grid_id: g for g in build_sample_set(plan, "periodic", period).grids}
+    _, systems = _stage_systems(plan, build_sample_set(plan, "periodic", period))
     deficient = []
-    for stage in plan.stages:
-        layout, total_cols = _layout(stage.unknowns, bws, bases)
-        stage_grids = [grids[gid] for gid in stage.grid_ids]
-        n_rows = sum(len(g.times) for g in stage_grids)
-        rank = 0
-        if n_rows and total_cols:
-            system = _PeriodicStage(plan, layout, total_cols, stage_grids, freqs)
-            rank = _rank(system.groups, [np.linalg.svd(stack, compute_uv=False)
-                                         for stack, _ in system.groups], n_rows, total_cols)
+    for stage, (_, total_cols, _, system) in zip(plan.stages, systems):
+        rank = 0 if system is None else _rank(
+            system, [np.linalg.svd(stack, compute_uv=False) for stack, _ in system.groups])
         if rank < total_cols:
             deficient.append((stage.unknowns, rank, total_cols))
     return deficient
@@ -541,54 +557,42 @@ def _trig_energy(coeffs: np.ndarray) -> float:
 
 
 def recovery_error(truth: GraphSignal, recovered: GraphSignal, mode: str,
-                   period_or_window, n: int, oversample: int = 32) -> dict:
+                   period_or_window, n: int) -> dict:
     """Per-vertex relative L2 error.
 
     Periodic mode uses the closed form from the coefficients; sinc mode uses
-    trapezoid quadrature on the inner half window at ``oversample`` times the
-    highest basis-block rate of the two signals, evaluated in blocks of
+    trapezoid quadrature on the inner half window at ``OVERSAMPLE`` times
+    the highest basis-block rate of the two signals, evaluated in blocks of
     ``QUADRATURE_BLOCK`` time points. Zero-norm references are reported as
     absolute errors with a flag.
     """
-    out = {}
     if mode == "periodic":
         top = max(truth.cutoff, recovered.cutoff)
         a = pad_coeffs(truth.coeffs, top)
         b = pad_coeffs(recovered.coeffs, top)
-        for v in range(n):
-            ref = _trig_energy(a[v]) ** 0.5
-            err = _trig_energy(a[v] - b[v]) ** 0.5
-            if ref > 0:
-                out[v] = {"error": err / ref, "relative": True}
-            else:
-                out[v] = {"error": err, "relative": False}
-        return out
-
-    window = period_or_window
-    t0, t1 = float(window[0]), float(window[1])
-    span = t1 - t0
-    lo, hi = t0 + span / 4.0, t1 - span / 4.0
-    rate = 2.0 * float(max(truth.bands + recovered.bands, default=0))
-    count = max(64, int((hi - lo) * rate * oversample))
-    times = np.linspace(lo, hi, count)
-    ref_sq = np.zeros(truth.coeffs.shape[0])
-    err_sq = np.zeros(truth.coeffs.shape[0])
-    # consecutive blocks share their boundary sample, so the block sums add
-    # up to the trapezoid rule over the whole grid
-    for start in range(0, count - 1, QUADRATURE_BLOCK - 1):
-        block = times[start:start + QUADRATURE_BLOCK]
-        ref_vals = truth.eval_all(block)
-        err_vals = ref_vals - recovered.eval_all(block)
-        ref_sq += np.trapezoid(ref_vals ** 2, block, axis=1)
-        err_sq += np.trapezoid(err_vals ** 2, block, axis=1)
-    refs, errs = np.sqrt(ref_sq), np.sqrt(err_sq)
-    for v in range(n):
-        ref, err = float(refs[v]), float(errs[v])
-        if ref > 0:
-            out[v] = {"error": err / ref, "relative": True}
-        else:
-            out[v] = {"error": err, "relative": False}
-    return out
+        refs = [_trig_energy(a[v]) ** 0.5 for v in range(n)]
+        errs = [_trig_energy(a[v] - b[v]) ** 0.5 for v in range(n)]
+    else:
+        window = period_or_window
+        t0, t1 = float(window[0]), float(window[1])
+        span = t1 - t0
+        lo, hi = t0 + span / 4.0, t1 - span / 4.0
+        rate = 2.0 * float(max(truth.bands + recovered.bands, default=0))
+        count = max(64, int((hi - lo) * rate * OVERSAMPLE))
+        times = np.linspace(lo, hi, count)
+        ref_sq = np.zeros(truth.coeffs.shape[0])
+        err_sq = np.zeros(truth.coeffs.shape[0])
+        # consecutive blocks share their boundary sample, so the block sums add
+        # up to the trapezoid rule over the whole grid
+        for start in range(0, count - 1, QUADRATURE_BLOCK - 1):
+            block = times[start:start + QUADRATURE_BLOCK]
+            ref_vals = truth.eval_all(block)
+            err_vals = ref_vals - recovered.eval_all(block)
+            ref_sq += np.trapezoid(ref_vals ** 2, block, axis=1)
+            err_sq += np.trapezoid(err_vals ** 2, block, axis=1)
+        refs, errs = np.sqrt(ref_sq).tolist(), np.sqrt(err_sq).tolist()
+    return {v: {"error": errs[v] / refs[v], "relative": True} if refs[v] > 0
+            else {"error": errs[v], "relative": False} for v in range(n)}
 
 
 def plan_roundtrip_ok(plan: SamplingPlan, spectrum: Spectrum, seed: int = 0,
@@ -618,17 +622,10 @@ def sampling_operator(plan: SamplingPlan, sample_set: SampleSet):
     deletions: a nontrivial null vector is a distinct signal in the space
     matching the remaining observations.
     """
-    mode, domain = sample_set.mode, sample_set.domain
-    bws, bases = _bases(plan, mode, domain)
-    blocks, total_cols = _layout(plan.unknowns, bws, bases)
-    rows = []
-    row_meta = []
-    for grid in sample_set.grids:
-        designs = _GridDesigns(bases, grid.float_times)
-        rows.append(_design_rows(plan, blocks, total_cols, bws, designs, grid.vertex))
-        row_meta.extend((grid.grid_id, t) for t in grid.times)
-    matrix = np.vstack(rows) if rows else np.zeros((0, total_cols))
-    return matrix, blocks, row_meta
+    _, systems = _stage_systems(plan, sample_set, dense=True)
+    (blocks, total_cols, grids, system), = systems
+    matrix = np.zeros((sample_set.n_points(), total_cols)) if system is None else system.matrix
+    return matrix, blocks, [(grid.grid_id, t) for grid in grids for t in grid.times]
 
 
 def unknowns_to_signal(plan: SamplingPlan, blocks, vector: np.ndarray,

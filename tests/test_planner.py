@@ -328,6 +328,14 @@ def test_worked_plan_rates(worked_bundle):
                      0: Fraction(10), 1: Fraction(4)}
 
 
+def test_make_plan_plans_pass_the_certificate(worked_spectrum, worked_bundle):
+    """Every plan ``make_plan`` builds has full-rank stages at its least
+    period, on the worked example and 150 random plans."""
+    assert ctgs.sampling.rank_deficient_stages(worked_bundle[4]) == []
+    for _, _, bundle in plannable_instances(11, 150):
+        assert ctgs.sampling.rank_deficient_stages(bundle[4]) == []
+
+
 def test_single_vertex_plan():
     graph = ctgs.GraphModel.create(1, [])
     spectrum = ctgs.eigendecompose(ctgs.build_shift_operator(graph, "laplacian"))

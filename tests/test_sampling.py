@@ -103,6 +103,32 @@ def test_redistribute_rejects_bad_spread_set(worked_spectrum, worked_bundle, wor
                           plan.base_vertices, (2, 3, 4), base)
 
 
+def test_redistribute_refuses_spread_sets_without_full_spark(worked_spectrum, worked_bundle,
+                                                            worked_sets, monkeypatch):
+    """V* = (2, 3, 4), (1, 2, 3, 4) and (0, 1, 2, 3, 4) each hold a
+    |V0|-subset that is not a uniqueness set and are refused. The
+    recoverability certificate alone would accept all three, at
+    eccentricities 4, 2 and 2 against bounds 5/2, 3/2 and 5/4: the bound
+    needs the full-spark premise the subset enumeration checks."""
+    _, finite, _, _, plan = worked_bundle
+    _, _, base = worked_sets
+    spread_sets = ((2, 3, 4), (1, 2, 3, 4), (0, 1, 2, 3, 4))
+    for v_star in spread_sets:
+        with pytest.raises(ctgs.ProblemFormatError, match="spread set invalid"):
+            ctgs.redistribute(worked_spectrum, plan.base_lambda0, finite.vertex_bw,
+                              plan.base_vertices, v_star, base)
+    monkeypatch.setattr(ctgs.planner, "validate_spread_set",
+                        lambda spectrum, lambda0, v0, v_star: (tuple(v0), tuple(v_star)))
+    sorted_bw = sorted(Fraction(finite.vertex_bw[v]) for v in plan.base_vertices)
+    # the rate-2 base grid shared by three carriers needs a period of 3
+    base = _base_only(ctgs.build_sample_set(plan, "periodic", 3))
+    for v_star, ecc in zip(spread_sets, (4, 2, 2)):
+        spread = ctgs.redistribute(worked_spectrum, plan.base_lambda0, finite.vertex_bw,
+                                   plan.base_vertices, v_star, base)
+        bound = ctgs.prop_bound_eccentricity(5, sorted_bw, len(v_star), 10)
+        assert ctgs.eccentricity(spread) == ecc > bound
+
+
 def test_redistribute_rejects_bad_base_input(worked_spectrum, worked_bundle, worked_sets):
     """The base set must be a uniqueness set, and the base sample set needs
     one grid per positive-bandwidth base vertex: a missing grid and a
@@ -256,6 +282,31 @@ def test_redistribute_random_instances_respect_bound():
         assert max(e["error"] for e in errors.values()) < 1e-9
         checked += 1
     assert checked >= 5
+
+
+def test_spread_b_meets_the_eccentricity_bound():
+    """Whenever ``redistribute_plan`` returns spread B (grids ``base:inc:``)
+    over a maximal spread set of a random plan, its base grids' eccentricity
+    is at most ``prop_bound_eccentricity``."""
+    checked = 0
+    for spectrum, _, bundle in plannable_instances(11, 150):
+        plan = bundle[4]
+        if not plan.base_vertices:
+            continue
+        v_star = spread_set(spectrum, plan)
+        try:
+            spread = ctgs.redistribute_plan(plan, spectrum, v_star)
+        except ctgs.ProblemFormatError:
+            continue
+        base = [g for g in spread.grids if g.grid_id.startswith("base")]
+        if not any(g.grid_id.startswith("base:inc:") for g in base):
+            continue
+        total = sum((g.rate for g in base), Fraction(0))
+        eccentricity = plan.n * max(ctgs.planner.rates_by_vertex(base).values()) / total
+        sorted_bw = sorted(Fraction(plan.vertex_bw[v]) for v in plan.base_vertices)
+        assert eccentricity <= ctgs.prop_bound_eccentricity(plan.n, sorted_bw, len(v_star), total)
+        checked += 1
+    assert checked >= 10
 
 
 def test_redistributed_plan_recovery(worked_spectrum, worked_bundle):
