@@ -8,6 +8,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 from . import reports
 from .bandwidth import TIGHTEN_GUARD, check_uniform, finitize, is_tight, tighten
@@ -33,7 +34,10 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse fills a
+    fresh namespace, so no option carries from one ``run`` to the next."""
     parser = argparse.ArgumentParser(
         prog="ctgs",
         description="Minimal-rate sampling planner and recovery simulator "
@@ -249,6 +253,12 @@ def _cmd_redistribute(problem, args):
         "eccentricity_bound": bound,
         "full_plan_rates": {labels[v]: r for v, r in sorted(spread_plan.per_vertex_rates.items())},
     }
+    # the bound holds for spread B and for a spread A that ranks first, not
+    # always for a spread A returned because spread B failed the certificate
+    spread_eccentricity = report["after"]["eccentricity"]
+    if spread_eccentricity > bound:
+        report["warnings"] = [
+            f"spread eccentricity {spread_eccentricity} exceeds eccentricity_bound {bound}"]
     artifacts = {}
     if args.output:
         artifacts["redistributed_sample_set.csv"] = reports.sample_set_csv(spread)

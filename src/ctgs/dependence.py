@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -173,6 +174,13 @@ def greedy_scan(rows: np.ndarray, order: Iterable[int]) -> list:
     return kept
 
 
+@lru_cache(maxsize=1)
+def _bandwidth_order(vertex_bw: tuple) -> tuple:
+    """Vertices in ascending (bandwidth, index) order. Every level of one
+    filtration shares its vertex bandwidths, so a plan sorts them once."""
+    return tuple(sorted(range(len(vertex_bw)), key=lambda v: (vertex_bw[v], v)))
+
+
 def greedy_minimal_vertex_set(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence):
     """Greedy matroid optimum: uniqueness set minimizing the bandwidth sum.
 
@@ -185,8 +193,7 @@ def greedy_minimal_vertex_set(spectrum: Spectrum, lambda0: Sequence[int], vertex
     """
     lambda0 = tuple(sorted(set(lambda0)))
     free = _complement(spectrum.n, lambda0)
-    order = sorted(range(spectrum.n), key=lambda v: (vertex_bw[v], v))
-    chosen = greedy_scan(spectrum.basis[free, :].T, order)
+    chosen = greedy_scan(spectrum.basis[free, :].T, _bandwidth_order(tuple(vertex_bw)))
     if len(chosen) != len(free):
         raise ValueError("greedy search failed to reach a basis; inconsistent spectrum")
     v0 = make_uniqueness_set(spectrum, lambda0, chosen)

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bandwidth import BandwidthProfile, validate_profile
 from .dependence import (
+    ENUMERATION_GUARD,
     dependent_mask,
     extension_matrix,
     greedy_minimal_vertex_set,
@@ -563,8 +564,9 @@ def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
     to decide in general (Alexeev, Cahill and Mixon 2012), so every subset
     is checked. The recoverability certificate is no substitute: on the
     worked example it accepts spreads over V* = (2, 3, 4), (1, 2, 3, 4) and
-    (0, 1, 2, 3, 4) whose eccentricities exceed the bound. Returns (sorted
-    v0, sorted v_star)."""
+    (0, 1, 2, 3, 4) whose eccentricities exceed the bound. More subsets than
+    ``enumerate_uniqueness_sets`` checks at its own guard are refused
+    before any is checked. Returns (sorted v0, sorted v_star)."""
     v0 = tuple(sorted(set(v0)))
     v_star = tuple(sorted(set(v_star)))
     if not v0:
@@ -572,6 +574,12 @@ def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
             "the base uniqueness set is empty; there is no base load to spread")
     if not set(v0) <= set(v_star):
         raise ProblemFormatError("the spread set must contain the base uniqueness set")
+    subsets = comb(len(v_star), len(v0))
+    limit = comb(ENUMERATION_GUARD, ENUMERATION_GUARD // 2)
+    if subsets > limit:
+        raise ProblemFormatError(
+            f"spread set too large to validate: {subsets} subsets of {len(v0)} of its "
+            f"{len(v_star)} vertices, more than the {limit} the enumeration checks")
     for sub in combinations(v_star, len(v0)):
         if not is_uniqueness_set(spectrum, lambda0, sub):
             raise ProblemFormatError(f"spread set invalid: {sub} is not a uniqueness set")

@@ -17,6 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from .numerics import INF, is_inf
+from .signals import eval_pair
 
 
 def jsonify(value):
@@ -177,7 +178,7 @@ def observation_csv(observation) -> str:
 def plotdata_csv(truth, recovered, n: int, t0: float, t1: float, points: int = 512) -> str:
     """Per-vertex (time, truth, recovered) series for plotting."""
     times = np.linspace(t0, t1, points)
-    truth_vals, recovered_vals = truth.eval_all(times), recovered.eval_all(times)
+    truth_vals, recovered_vals = eval_pair(truth, recovered, times)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["vertex", "time", "truth", "recovered"])

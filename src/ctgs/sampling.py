@@ -19,6 +19,7 @@ from .signals import (
     GraphSignal,
     assemble,
     draw_contents,
+    eval_pair,
     pad_coeffs,
     scalar_basis,
     sinc_indices,
@@ -586,8 +587,8 @@ def recovery_error(truth: GraphSignal, recovered: GraphSignal, mode: str,
         # up to the trapezoid rule over the whole grid
         for start in range(0, count - 1, QUADRATURE_BLOCK - 1):
             block = times[start:start + QUADRATURE_BLOCK]
-            ref_vals = truth.eval_all(block)
-            err_vals = ref_vals - recovered.eval_all(block)
+            ref_vals, rec_vals = eval_pair(truth, recovered, block)
+            err_vals = ref_vals - rec_vals
             ref_sq += np.trapezoid(ref_vals ** 2, block, axis=1)
             err_sq += np.trapezoid(err_vals ** 2, block, axis=1)
         refs, errs = np.sqrt(ref_sq).tolist(), np.sqrt(err_sq).tolist()

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -95,20 +96,37 @@ class GraphSignal:
         """Top harmonic of the trig block (periodic mode)."""
         return (self.coeffs.shape[1] - 1) // 2
 
+    @cached_property
+    def _basis_maps(self) -> tuple:
+        """Each band's design map, built once per signal."""
+        return tuple(scalar_basis(self.mode, self.domain, b)[1] for b in self.bands)
+
     def design(self, times) -> np.ndarray:
         """len(times) x P evaluation matrix of the basis blocks."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        blocks = [scalar_basis(self.mode, self.domain, b)[1](times) for b in self.bands]
+        blocks = [basis(times) for basis in self._basis_maps]
         return np.hstack(blocks) if blocks else np.zeros((len(times), 0))
 
     def eval(self, vertex: int, times) -> np.ndarray:
         return self.design(times) @ self.coeffs[vertex]
 
-    def eval_all(self, times) -> np.ndarray:
-        """n x len(times) values; the basis is evaluated once for all vertices."""
-        design = self.design(times)
+    def _apply(self, design: np.ndarray) -> np.ndarray:
+        """n x len(times) values from a :meth:`design` of the same basis."""
         # one product per row keeps each row bit-identical to eval()
         return np.stack([design @ row for row in self.coeffs])
+
+    def eval_all(self, times) -> np.ndarray:
+        """n x len(times) values; the basis is evaluated once for all vertices."""
+        return self._apply(self.design(times))
+
+
+def eval_pair(first: GraphSignal, second: GraphSignal, times) -> tuple:
+    """Both signals' n x len(times) values. Signals that share mode, domain
+    and bands, as a simulated truth and its recovery from one plan do,
+    share one design evaluation."""
+    design = first.design(times)
+    shared = (second.mode, second.domain, second.bands) == (first.mode, first.domain, first.bands)
+    return first._apply(design), second._apply(design if shared else second.design(times))
 
 
 def PeriodicSignal(period, coeffs) -> GraphSignal:

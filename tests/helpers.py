@@ -61,8 +61,8 @@ def random_lambda0(rng, n):
     return tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
 
 
-def plannable_instances(master_seed, count, n_max=7, max_attempts_factor=8):
-    """Yield (spectrum, profile, bundle) for problems that admit a plan."""
+def plannable_problems(master_seed, count, n_max=7, max_attempts_factor=8):
+    """Yield (graph, spectrum, profile, bundle) for problems that admit a plan."""
     rng = np.random.default_rng(master_seed)
     produced = 0
     attempts = 0
@@ -71,14 +71,32 @@ def plannable_instances(master_seed, count, n_max=7, max_attempts_factor=8):
         if attempts > max_attempts_factor * count:
             raise AssertionError(f"only {produced}/{count} plannable instances found")
         n = int(rng.integers(2, n_max + 1))
-        spectrum = random_spectrum(rng, n)
+        graph = random_connected_graph(rng, n)
+        spectrum = ctgs.eigendecompose(ctgs.build_shift_operator(graph, "laplacian"))
         profile = random_profile(rng, n)
         try:
             bundle = ctgs.plan_problem(spectrum, profile)
         except ctgs.InfeasibleProblemError:
             continue
         produced += 1
+        yield graph, spectrum, profile, bundle
+
+
+def plannable_instances(master_seed, count, n_max=7, max_attempts_factor=8):
+    """Yield (spectrum, profile, bundle) for problems that admit a plan."""
+    for _, spectrum, profile, bundle in plannable_problems(master_seed, count, n_max,
+                                                           max_attempts_factor):
         yield spectrum, profile, bundle
+
+
+def problem_document(graph, profile):
+    """The problem file of a Laplacian problem on ``graph``."""
+    def bound(value):
+        return "inf" if is_inf(value) else str(Fraction(value))
+
+    return {"n": graph.n_vertices, "edges": [list(edge) for edge in graph.edges],
+            "B": [bound(b) for b in profile.vertex_bw],
+            "C": [bound(c) for c in profile.freq_bw]}
 
 
 def plannable_at(n, seed, max_attempts=100):
@@ -488,3 +506,37 @@ def redistribute_placement_only(spectrum, lambda0, vertex_bw, v0, v_star, sample
     if ctgs.sample_rate(spread) != ctgs.sample_rate(sample_set):
         raise AssertionError("redistribution changed the sample rate")
     return spread
+
+
+def fresh_design(signal, times):
+    """A signal's design at ``times`` from freshly built scalar bases."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    blocks = [ctgs.signals.scalar_basis(signal.mode, signal.domain, b)[1](times)
+              for b in signal.bands]
+    return np.hstack(blocks) if blocks else np.zeros((len(times), 0))
+
+
+def sinc_recovery_error_two_designs(truth, recovered, window, n):
+    """``recovery_error``'s sinc quadrature with each signal's design
+    evaluated separately in every block, as one row product per vertex."""
+    t0, t1 = float(window[0]), float(window[1])
+    span = t1 - t0
+    lo, hi = t0 + span / 4.0, t1 - span / 4.0
+    rate = 2.0 * float(max(truth.bands + recovered.bands, default=0))
+    count = max(64, int((hi - lo) * rate * ctgs.sampling.OVERSAMPLE))
+    times = np.linspace(lo, hi, count)
+    ref_sq = np.zeros(truth.coeffs.shape[0])
+    err_sq = np.zeros(truth.coeffs.shape[0])
+    step = ctgs.sampling.QUADRATURE_BLOCK - 1
+    for start in range(0, count - 1, step):
+        block = times[start:start + step + 1]
+        values = []
+        for signal in (truth, recovered):
+            design = fresh_design(signal, block)
+            values.append(np.stack([design @ row for row in signal.coeffs]))
+        ref_vals, err_vals = values[0], values[0] - values[1]
+        ref_sq += np.trapezoid(ref_vals ** 2, block, axis=1)
+        err_sq += np.trapezoid(err_vals ** 2, block, axis=1)
+    refs, errs = np.sqrt(ref_sq).tolist(), np.sqrt(err_sq).tolist()
+    return {v: {"error": errs[v] / refs[v], "relative": True} if refs[v] > 0
+            else {"error": errs[v], "relative": False} for v in range(n)}

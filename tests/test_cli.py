@@ -8,6 +8,7 @@ import ctgs
 from ctgs import cli, reports
 
 from conftest import WORKED_B, WORKED_C, WORKED_EDGES
+from helpers import plannable_problems, problem_document, spread_set
 
 
 def _run(capsys, argv):
@@ -139,6 +140,71 @@ def test_redistribute_reports_the_spread_the_plan_uses(tmp_path, capsys):
     assert report["after"]["rates"] == {labels[v]: r for v, r in sorted(base_rates.items())}
     assert report["after"]["eccentricity"] \
         == len(labels) * max(base_rates.values()) / report["after"]["rate"]
+
+
+def test_redistribute_refuses_oversized_spread_set(tmp_path, capsys, monkeypatch):
+    """C(16, 8) = 12,870 subsets exceed the 3,432 the uniqueness-set
+    enumeration checks at its guard; none is checked."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 16, "edges": [[i, i + 1] for i in range(15)],
+                                "B": [1] * 16, "C": [0] * 8 + ["inf"] * 8}))
+    plan_out = _run(capsys, ["plan", "--input", str(path)])[1]
+    assert len(reports.parse_report(plan_out)["admissible_sequence"]["sets"][0]) == 8
+    enumerated = []
+    monkeypatch.setattr(ctgs.planner, "combinations",
+                        lambda *args: enumerated.append(args) or iter(()))
+    code, _, err = _run(capsys, ["redistribute", "--input", str(path),
+                                 "--vstar", ",".join(map(str, range(16)))])
+    assert code == 2
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation"
+    assert "12870 subsets" in payload["message"]
+    assert not enumerated
+
+
+def test_redistribute_warns_when_spread_exceeds_eccentricity_bound(tmp_path, capsys):
+    """A spread A returned because spread B failed the certificate can
+    exceed the bound; the report then says so, and only then."""
+    warned = []
+    for index, (graph, spectrum, profile, bundle) in enumerate(plannable_problems(11, 60)):
+        plan = bundle[4]
+        if not plan.base_vertices:
+            continue
+        path = tmp_path / f"instance{index}.json"
+        path.write_text(json.dumps(problem_document(graph, profile)))
+        v_star = spread_set(spectrum, plan)
+        code, out, _ = _run(capsys, ["redistribute", "--input", str(path),
+                                     "--vstar", ",".join(map(str, v_star))])
+        if code != 0:
+            continue
+        report = reports.parse_report(out)
+        exceeds = report["after"]["eccentricity"] > report["eccentricity_bound"]
+        assert ("warnings" in report) == exceeds, index
+        if exceeds:
+            warned.append((index, report["after"]["eccentricity"], report["eccentricity_bound"]))
+            assert report["warnings"] == [
+                f"spread eccentricity {report['after']['eccentricity']} exceeds "
+                f"eccentricity_bound {report['eccentricity_bound']}"]
+    # n = 5, V* = (0, ..., 4), V0 = (1, 3)
+    assert warned == [(59, Fraction(15, 7), Fraction(5, 4))]
+
+
+def test_in_process_runs_carry_no_options(worked_problem_file, capsys):
+    """The parser is built once per process; a call's options never reach
+    the next call, in either order."""
+    seeded = ["simulate", "--input", worked_problem_file, "--seed", "5"]
+    sinc = seeded + ["--mode", "sinc", "--window=-3,3", "--format", "plotdata"]
+    plain = ["simulate", "--input", worked_problem_file]
+    alone = {}
+    for argv in (seeded, sinc, plain):
+        cli._build_parser.cache_clear()
+        alone[tuple(argv)] = _run(capsys, argv)
+    assert len({out for _, out, _ in alone.values()}) == 3
+    for order in ((seeded, plain), (plain, seeded), (sinc, plain), (plain, sinc)):
+        cli._build_parser.cache_clear()
+        for argv in order:
+            assert _run(capsys, argv) == alone[tuple(argv)]
+        assert cli._build_parser.cache_info().misses == 1
 
 
 def test_simulate_builds_csv_artifacts_on_demand(worked_problem_file, capsys, monkeypatch,

@@ -303,6 +303,19 @@ def test_plan_n60_solve_count(monkeypatch):
     assert len(calls) <= 2 * filtration.depth + 1
 
 
+def test_plan_sorts_the_vertices_once():
+    """Every greedy basis of one plan scans the vertices in one (B, index)
+    order, sorted once for the plan's bandwidth vector."""
+    spectrum, profile = plannable_at(60, seed=60)
+    order = ctgs.dependence._bandwidth_order
+    order.cache_clear()
+    _, finite, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
+    info = order.cache_info()
+    assert (info.misses, info.hits) == (1, filtration.depth + 1)
+    assert order(finite.vertex_bw) == tuple(
+        sorted(range(spectrum.n), key=lambda v: (finite.vertex_bw[v], v)))
+
+
 def test_n40_problem_plans_and_round_trips():
     """Past the enumeration guard: a random n = 40 problem plans, its
     sequence verifies, and a periodic round trip recovers it."""

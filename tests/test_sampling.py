@@ -8,8 +8,8 @@ import pytest
 import ctgs
 from ctgs.sampling import RealizedGrid
 
-from helpers import (plannable_instances, recover_dense, redistribute_placement_only, spread_set,
-                     unchecked_split)
+from helpers import (plannable_instances, recover_dense, redistribute_placement_only,
+                     sinc_recovery_error_two_designs, spread_set, unchecked_split)
 
 
 def _base_only(sample_set):
@@ -443,6 +443,64 @@ def test_sinc_error_blocks_match_one_block(worked_spectrum, worked_bundle, monke
     whole = ctgs.recovery_error(truth, perturbed, "sinc", window, 5)
     for v in range(5):
         assert blocked[v]["error"] == pytest.approx(whole[v]["error"], rel=1e-12)
+
+
+def test_sinc_recovery_error_matches_two_design_oracle():
+    """One design per quadrature block for both signals gives the
+    two-evaluation quadrature bit for bit, also for signals whose windows or
+    bands differ."""
+    rng = np.random.default_rng(14)
+    kinds = set()
+    for trial, (spectrum, _, bundle) in enumerate(plannable_instances(master_seed=414, count=12)):
+        _, finite, _, _, plan = bundle
+        half = int(rng.integers(2, 6))
+        window = (Fraction(-half), Fraction(half))
+        sset = ctgs.build_sample_set(plan, "sinc", window)
+        truth = ctgs.synthesize_signal(spectrum, finite, trial, "sinc", window, plan=plan)
+        recovered = ctgs.recover(ctgs.sample_signal(truth, sset), plan, spectrum, sset).recovered
+        wider = ctgs.synthesize_signal(spectrum, finite, trial + 1, "sinc",
+                                       (window[0] - 1, window[1]), plan=plan)
+        pairs = [(truth, recovered, "shared"), (truth, wider, "windows"),
+                 (wider, recovered, "windows")]
+        if len(truth.bands) > 1:
+            width = ctgs.signals.scalar_basis("sinc", window, truth.bands[0])[0]
+            first = ctgs.GraphSignal("sinc", window, truth.coeffs[:, :width], truth.bands[:1])
+            pairs += [(truth, first, "bands"), (first, recovered, "bands")]
+        for a, b, kind in pairs:
+            got = ctgs.recovery_error(a, b, "sinc", window, spectrum.n)
+            assert got == sinc_recovery_error_two_designs(a, b, window, spectrum.n), (trial, kind)
+            kinds.add(kind)
+    assert kinds == {"shared", "windows", "bands"}
+
+
+def test_sinc_recovery_error_evaluates_one_design_per_block(worked_spectrum, worked_bundle,
+                                                            monkeypatch):
+    """The quadrature and the plot data evaluate one design per block for a
+    truth and its recovery, and one per signal otherwise."""
+    _, finite, _, _, plan = worked_bundle
+    window = (Fraction(-20), Fraction(20))
+    sset = ctgs.build_sample_set(plan, "sinc", window)
+    truth = ctgs.synthesize_signal(worked_spectrum, finite, 3, "sinc", window, plan=plan)
+    recovered = ctgs.recover(ctgs.sample_signal(truth, sset), plan, worked_spectrum,
+                             sset).recovered
+    other = ctgs.synthesize_signal(worked_spectrum, finite, 4, "sinc", (-21, 20), plan=plan)
+    designs = []
+    original = ctgs.GraphSignal.design
+
+    def counted(signal, times):
+        designs.append(signal)
+        return original(signal, times)
+
+    monkeypatch.setattr(ctgs.GraphSignal, "design", counted)
+    ctgs.recovery_error(truth, recovered, "sinc", window, 5)
+    blocks = len(designs)
+    assert blocks > 1 and all(s is truth for s in designs)
+    designs.clear()
+    ctgs.recovery_error(truth, other, "sinc", window, 5)
+    assert designs == [truth, other] * blocks
+    designs.clear()
+    ctgs.reports.plotdata_csv(truth, recovered, 5, -20.0, 20.0)
+    assert designs == [truth]
 
 
 def test_roundtrip_small_random():

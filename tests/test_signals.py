@@ -5,6 +5,7 @@ import numpy as np
 import ctgs
 
 from helpers import (
+    fresh_design,
     membership_violations_loop,
     plannable_instances,
     random_profile,
@@ -146,3 +147,28 @@ def test_membership_violations_match_loop_oracle():
         assert ctgs.signals.membership_violations(spectrum, profile, signal) == want
         verdicts.add(bool(want))
     assert verdicts == {False, True}
+
+
+def test_design_matches_fresh_scalar_basis():
+    """The basis maps a signal builds once evaluate like freshly built ones,
+    on every call."""
+    rng = np.random.default_rng(24)
+    modes = set()
+    for trial, (spectrum, profile, bundle) in enumerate(plannable_instances(master_seed=424,
+                                                                            count=12)):
+        _, finite, _, _, plan = bundle
+        if trial % 2:
+            period = ctgs.numerics.least_period([g.rate for g in plan.grids])
+            signal = ctgs.random_member(spectrum, finite, period, trial)
+        else:
+            half = Fraction(int(rng.integers(1, 8)), int(rng.integers(1, 3)))
+            signal = ctgs.synthesize_signal(spectrum, finite, trial, "sinc", (-half, half),
+                                            plan=plan)
+        for _ in range(3):
+            times = rng.uniform(-10.0, 10.0, int(rng.integers(1, 40)))
+            design = signal.design(times)
+            assert np.array_equal(design, fresh_design(signal, times)), trial
+            for v in range(spectrum.n):
+                assert np.array_equal(signal.eval(v, times), design @ signal.coeffs[v])
+        modes.add(signal.mode)
+    assert modes == {"periodic", "sinc"}
