@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dependence import enumerate_uniqueness_sets, greedy_scan, is_dependent
+from .dependence import (enumerate_uniqueness_sets, extension_matrix, greedy_minimal_vertex_set,
+                         greedy_scan, is_dependent, x_support)
 from .errors import InfeasibleProblemError, ProblemFormatError, ScaleLimitError
 from .numerics import INF, as_bandwidth, bandwidth_to_json, is_inf
 from .spectral import Spectrum
@@ -188,40 +189,27 @@ def is_tight(spectrum: Spectrum, profile: BandwidthProfile) -> TightnessReport:
 def tighten(spectrum: Spectrum, profile: BandwidthProfile) -> BandwidthProfile:
     """Maximal tight profile below ``profile`` spanning the same signal space.
 
-    Built as the pointwise-max union of the per-uniqueness-set prefix
-    profiles (vertex inherits the bound of the last vertex of its minimal
-    dependent prefix), keeping only candidates that stay below the input.
-    The minimizing uniqueness set always yields a valid candidate, and every
-    valid candidate is tight, so the union is the unique maximum.
+    A vertex's tightened bound is the least threshold b such that it depends
+    on the vertices of bound at most b, capped by its own bound. The greedy
+    minimal-rate basis in (B, index) order spans every such threshold set with
+    its prefixes (Edmonds' greedy theorem on the dependence matroid), so its
+    extension map answers every vertex with one solve: an outside vertex takes
+    the largest bound on the support of its extension row (0 for a zero row),
+    and basis vertices keep their bounds.
     """
     validate_profile(spectrum, profile)
     if not profile.all_vertex_finite():
         raise ProblemFormatError("tighten requires finite vertex bandwidths; finitize first")
-    if spectrum.n > TIGHTEN_GUARD:
-        raise ScaleLimitError(f"tighten is limited to n <= {TIGHTEN_GUARD}")
     lambda0 = profile.lambda0()
     bw = profile.vertex_bw
-    union: Optional[list] = None
-    for cand in enumerate_uniqueness_sets(spectrum, lambda0):
-        ordered = _sorted_by_bw(cand.vertices, bw)
-        candidate = list(bw)
-        valid = True
-        for v in cand.complement:
-            k = _minimal_prefix(spectrum, lambda0, ordered, v)
-            value = Fraction(0) if k == 0 else bw[ordered[k - 1]]
-            if value > bw[v]:
-                valid = False
-                break
-            candidate[v] = value
-        if not valid:
-            continue
-        if union is None:
-            union = candidate
-        else:
-            union = [max(a, b) for a, b in zip(union, candidate)]
-    if union is None:
-        raise InfeasibleProblemError("no uniqueness set exists; constraints inconsistent")
-    return profile.with_vertex_bw(union)
+    basis, _ = greedy_minimal_vertex_set(spectrum, lambda0, bw)
+    extension = extension_matrix(spectrum, lambda0, basis)
+    tightened = list(bw)
+    for v in basis.complement:
+        support = x_support(extension[v])
+        limit = max((bw[u] for u, hit in zip(basis.vertices, support) if hit), default=Fraction(0))
+        tightened[v] = min(bw[v], limit)
+    return profile.with_vertex_bw(tightened)
 
 
 def profile_union(a: BandwidthProfile, b: BandwidthProfile) -> BandwidthProfile:

@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", default="json", choices=["json", "csv", "plotdata"])
         cmd.add_argument("--mode", choices=["periodic", "sinc"])
         cmd.add_argument("--period", help="period T for periodic mode")
-        cmd.add_argument("--window", help="sinc window as 't0,t1'")
+        cmd.add_argument("--window", help="sinc window as 't0,t1'; a negative t0 needs the "
+                                          "'=' form, as in --window=-3,3")
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--tolerance", type=float)
         if name == "redistribute":
@@ -136,7 +137,7 @@ def _cmd_analyze(problem, args):
         if spectrum.n <= TIGHTEN_GUARD:
             verdict = is_tight(spectrum, finite)
             report["tightness"] = reports.tightness_summary(problem.graph, verdict)
-            report["tightened_B"] = list(tighten(spectrum, finite).vertex_bw)
+        report["tightened_B"] = list(tighten(spectrum, finite).vertex_bw)
     return report, {}
 
 

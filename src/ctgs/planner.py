@@ -29,7 +29,7 @@ from .dependence import (
     x_vector,
 )
 from .errors import InfeasibleProblemError, ProblemFormatError
-from .numerics import is_inf
+from .numerics import COMPONENT_TOL, is_inf
 from .spectral import Spectrum
 
 
@@ -219,7 +219,7 @@ def verify_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
             problems.append(f"level {i}: recorded vertex disagrees with the set difference")
         step = filtration.step_at(i)
         b = step.b_star
-        if abs(_x_at(spectrum, lam_i0, v_cur, step.lambda_star, vi)) <= 1e-8:
+        if abs(_x_at(spectrum, lam_i0, v_cur, step.lambda_star, vi)) <= COMPONENT_TOL:
             problems.append(f"level {i}: transform coefficient vanishes at the new vertex")
         if Fraction(bw[vi]) < b:
             problems.append(f"level {i}: new vertex bandwidth {bw[vi]} below quotient bound {b}")

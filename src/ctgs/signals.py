@@ -115,10 +115,6 @@ class GraphSignal:
         # one product per row keeps each row bit-identical to eval()
         return np.stack([design @ row for row in self.coeffs])
 
-    def eval_all(self, times) -> np.ndarray:
-        """n x len(times) values; the basis is evaluated once for all vertices."""
-        return self._apply(self.design(times))
-
 
 def eval_pair(first: GraphSignal, second: GraphSignal, times) -> tuple:
     """Both signals' n x len(times) values. Signals that share mode, domain

@@ -15,6 +15,8 @@ SYMMETRY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
 MULTIPLICITY_TOL = 1e-8
+# An entry below SIGN_TOL * (row max) is too small to fix a row's sign.
+SIGN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
         if scale == 0:
             continue
         for x in row:
-            if abs(x) > 1e-8 * scale:
+            if abs(x) > SIGN_TOL * scale:
                 if x < 0:
                     fixed[i] = -row
                 break

@@ -138,6 +138,48 @@ def quotient_bound_bruteforce(spectrum, profile, lambda_star):
     return min(best, Fraction(profile.freq_bw[lambda_star]))
 
 
+def tighten_bruteforce(spectrum, profile):
+    """Oracle for ``bandwidth.tighten``: the pointwise max of the prefix
+    profiles of every uniqueness set that stay below ``profile``. In a
+    set's profile each outside vertex takes the bound of the last vertex of
+    its minimal dependent prefix in ascending (bandwidth, index) order, or 0
+    when it depends on the empty set."""
+    lambda0 = profile.lambda0()
+    bw = profile.vertex_bw
+    union = None
+    for cand in ctgs.enumerate_uniqueness_sets(spectrum, lambda0):
+        ordered = sorted(cand.vertices, key=lambda v: (bw[v], v))
+        closures = [ctgs.dependence.dependent_mask(spectrum, lambda0, ordered[:k])
+                    for k in range(len(ordered) + 1)]
+        candidate = list(bw)
+        for v in cand.complement:
+            k = next(k for k, closure in enumerate(closures) if closure[v])
+            candidate[v] = Fraction(0) if k == 0 else bw[ordered[k - 1]]
+        if all(a <= b for a, b in zip(candidate, bw)):
+            union = candidate if union is None else [max(a, b) for a, b in zip(union, candidate)]
+    return profile.with_vertex_bw(union)
+
+
+def counting_density(spectrum, profile):
+    """Oracle for the minimal total rate of a finitized profile: the density
+    D = 2 * sum_j nu(t_j) * (t_{j+1} - t_j) of the constrained space, whose
+    dimension at period T tends to D * T. The t_j are the sorted distinct
+    values of {0}, the vertex bounds and the finite frequency bounds; nu(t)
+    is the nullity of the eigenrows {f : C_f <= t} over the vertices
+    {v : t < B_v}, one null space per breakpoint; past the last one no
+    vertex is active."""
+    bw, freq_bw = profile.vertex_bw, profile.freq_bw
+    points = sorted({Fraction(0), *map(Fraction, bw),
+                     *(Fraction(c) for c in freq_bw if not is_inf(c))})
+    density = Fraction(0)
+    for lo, hi in zip(points, points[1:]):
+        active = [v for v, b in enumerate(bw) if lo < b]
+        rows = [f for f, c in enumerate(freq_bw) if c <= lo]
+        nullity = ctgs.numerics.null_space(spectrum.submatrix(rows, active)).shape[1]
+        density += nullity * (hi - lo)
+    return 2 * density
+
+
 def check_uniform_exhaustive(spectrum, profile):
     """Oracle for the uniformity test with infinite vertex bounds:
     (is_uniform, witness frequencies, bound). Every frequency subset of

@@ -10,8 +10,10 @@ from ctgs.numerics import INF
 from helpers import (
     check_uniform_exhaustive,
     check_uniform_loop,
+    plannable_instances,
     random_profile,
     random_spectrum,
+    tighten_bruteforce,
 )
 
 LAM0_W0 = (0, 1, 2)
@@ -202,6 +204,56 @@ def test_union_of_tight_profiles_is_tight():
             random_profile(rng, n).vertex_bw, freq))
         union = ctgs.profile_union(a, b)
         assert ctgs.is_tight(spectrum, union).tight
+
+
+def test_tighten_matches_bruteforce_random():
+    """The greedy basis's extension map gives the enumeration's tightened
+    profile, on unit-weight graphs (eigenvectors with exact zeros) too."""
+    rng = np.random.default_rng(18)
+    lowered = 0
+    for trial in range(600):
+        n = int(rng.integers(2, 9))
+        spectrum = random_spectrum(rng, n, unit_weights=trial % 2 == 1)
+        profile = random_profile(rng, n)
+        tightened = ctgs.tighten(spectrum, profile)
+        assert tightened.vertex_bw == tighten_bruteforce(spectrum, profile).vertex_bw, trial
+        lowered += tightened.vertex_bw != profile.vertex_bw
+    assert lowered > 100
+
+
+def test_tighten_matches_bruteforce_plannable():
+    lowered = 0
+    for spectrum, _, bundle in plannable_instances(18, 60, n_max=12):
+        finite = bundle[1]
+        tightened = ctgs.tighten(spectrum, finite)
+        assert tightened.vertex_bw == tighten_bruteforce(spectrum, finite).vertex_bw
+        lowered += tightened.vertex_bw != finite.vertex_bw
+    assert lowered > 10
+
+
+def test_tighten_n200_idempotent_and_dominated(monkeypatch):
+    """Past the enumeration guard: one SVD and one solve tighten an n = 200
+    profile to a fixed point below it."""
+    rng = np.random.default_rng(200)
+    spectrum = random_spectrum(rng, 200)
+    profile = random_profile(rng, 200)
+    calls = []
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    tightened = ctgs.tighten(spectrum, profile)
+    assert sorted(calls) == ["solve", "svd"]
+    assert all(a <= b for a, b in zip(tightened.vertex_bw, profile.vertex_bw))
+    assert tightened.vertex_bw != profile.vertex_bw
+    assert ctgs.tighten(spectrum, tightened).vertex_bw == tightened.vertex_bw
 
 
 # --- profile union ----------------------------------------------------------

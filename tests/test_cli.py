@@ -8,7 +8,8 @@ import ctgs
 from ctgs import cli, reports
 
 from conftest import WORKED_B, WORKED_C, WORKED_EDGES
-from helpers import plannable_problems, problem_document, spread_set
+from helpers import (plannable_problems, problem_document, random_connected_graph,
+                     random_profile, spread_set)
 
 
 def _run(capsys, argv):
@@ -62,6 +63,23 @@ def test_analyze_two_path(tmp_path, capsys):
     assert report["tightness"]["violations"][0]["vertex"] == "v2"
     assert report["tightened_B"] == [3, 3]
     assert report["uniformity"]["is_uniform"] is True
+
+
+def test_analyze_n200_reports_tightened_bounds(tmp_path, capsys):
+    """Past the tightness guard, analyze still reports the tightened profile
+    and leaves out only the tightness verdict."""
+    rng = np.random.default_rng(200)
+    graph = random_connected_graph(rng, 200)
+    profile = random_profile(rng, 200)
+    path = tmp_path / "n200.json"
+    path.write_text(json.dumps(problem_document(graph, profile)))
+    code, out, _ = _run(capsys, ["analyze", "--input", str(path)])
+    assert code == 0
+    report = reports.parse_report(out)
+    assert "tightness" not in report
+    spectrum = ctgs.eigendecompose(ctgs.build_shift_operator(graph, "laplacian"))
+    assert report["tightened_B"] == list(ctgs.tighten(spectrum, profile).vertex_bw)
+    assert report["tightened_B"] != report["finitized_B"]
 
 
 def test_redistribute_command(worked_problem_file, capsys):

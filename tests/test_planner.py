@@ -10,6 +10,7 @@ from helpers import (
     backtrack_sequence_loop,
     carrier_groups_loop,
     compute_stages_loop,
+    counting_density,
     greedy_sequence_loop,
     greedy_vertex_set_loop,
     plannable_at,
@@ -314,6 +315,31 @@ def test_plan_sorts_the_vertices_once():
     assert (info.misses, info.hits) == (1, filtration.depth + 1)
     assert order(finite.vertex_bw) == tuple(
         sorted(range(spectrum.n), key=lambda v: (finite.vertex_bw[v], v)))
+
+
+def test_total_rate_equals_counting_density():
+    """Every plan's total rate is the density of its finitized space, the
+    least rate any recovering sampling set can have."""
+    for spectrum, _, bundle in plannable_instances(13, 300):
+        assert bundle[-1].total_rate == counting_density(spectrum, bundle[1])
+
+
+def test_total_rate_equals_counting_density_n200():
+    spectrum, profile = plannable_at(200, 200)
+    _, finite, _, _, plan = ctgs.plan_problem(spectrum, profile)
+    assert plan.total_rate == counting_density(spectrum, finite)
+
+
+def test_excess_samples_per_period_count_the_grids():
+    """At 2 and 4 times the least period, a plan takes one sample per grid
+    more than the space's dimension: rate * T - dim(T) = number of grids."""
+    for spectrum, _, bundle in plannable_instances(14, 100):
+        finite, plan = bundle[1], bundle[-1]
+        period = least_period([g.rate for g in plan.grids])
+        for multiple in (2, 4):
+            t = multiple * period
+            assert plan.total_rate * t - ctgs.space_dimension(spectrum, finite, t) \
+                == len(plan.grids)
 
 
 def test_n40_problem_plans_and_round_trips():
