@@ -60,13 +60,9 @@ from .sampling import (
 )
 from .signals import (
     GraphSignal,
-    PeriodicSignal,
     membership_violations,
-    quotient_witness,
-    random_member,
     space_dimension,
     synthesize_signal,
-    verify_membership,
 )
 from .spectral import (
     GraphModel,
@@ -74,7 +70,6 @@ from .spectral import (
     Spectrum,
     build_shift_operator,
     eigendecompose,
-    gft,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

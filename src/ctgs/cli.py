@@ -118,9 +118,25 @@ def _write_artifact(output_dir, name, payload):
     return path
 
 
+def _eigendecompose(problem, tolerance):
+    """The problem's spectrum. C must be constant on each multiplicity
+    group: the solver picks a group's eigenvectors arbitrarily, so bounds
+    that differ inside it would make the signal space depend on that pick."""
+    spectrum = eigendecompose(problem.shift, tol=tolerance)
+    freq_bw = problem.profile.freq_bw
+    for group in spectrum.multiplicity_groups:
+        differing = [f for f in group if freq_bw[f] != freq_bw[group[0]]]
+        if differing:
+            names = ", ".join(map(reports.freq_label, group))
+            raise ProblemFormatError(
+                f"C must be constant on the multiplicity group ({names}) of eigenvalue "
+                f"{float(spectrum.eigenvalues[group[0]]):.6g}", f"/C/{differing[0]}")
+    return spectrum
+
+
 def _cmd_analyze(problem, args):
     _, _, _, _, tolerance = _resolve_options(problem, args)
-    spectrum = eigendecompose(problem.shift, tol=tolerance)
+    spectrum = _eigendecompose(problem, tolerance)
     cert = check_uniform(spectrum, problem.profile)
     report = {
         "command": "analyze",
@@ -142,7 +158,7 @@ def _cmd_analyze(problem, args):
 
 
 def _plan_bundle(problem, tolerance):
-    spectrum = eigendecompose(problem.shift, tol=tolerance)
+    spectrum = _eigendecompose(problem, tolerance)
     cert, finite, filtration, seq, plan = plan_problem(spectrum, problem.profile)
     return spectrum, cert, finite, filtration, seq, plan
 

@@ -111,19 +111,8 @@ def tightness_summary(graph, report) -> dict:
 def filtration_summary(graph, filtration) -> dict:
     return {
         "k": filtration.depth,
-        "lambda_star_order": [_flabel(s.lambda_star) for s in filtration.steps],
-        "quotient_bandwidths_step_order": [s.b_star for s in filtration.steps],
+        "lambda_star_order": [_flabel(f) for f in filtration.lambda_star_order],
         "b_sequence": list(filtration.quotient_bandwidths),
-        "steps": [
-            {
-                "level": s.level,
-                "lambda_star": _flabel(s.lambda_star),
-                "b": s.b_star,
-                "lambda0": [_flabel(f) for f in s.lambda0],
-                "chosen_set": [_vlabel(graph, v) for v in s.chosen_v0],
-            }
-            for s in filtration.steps
-        ],
         "terminal_C": list(filtration.levels[0].freq_bw),
     }
 

@@ -18,7 +18,6 @@ from .planner import SamplingPlan, Stage, base_plan, rates_by_vertex, redistribu
 from .signals import (
     GraphSignal,
     assemble,
-    draw_contents,
     eval_pair,
     pad_coeffs,
     scalar_basis,
@@ -28,6 +27,12 @@ from .spectral import Spectrum
 
 RESIDUAL_TOL = 1e-6
 EPS = np.finfo(float).eps
+
+# Most points a realized sample set may hold: about 800 times the largest
+# set that the tests or the benchmark realize. Sets past it come from grid
+# rates that share no short period, or from a far too long period or
+# window; they run to 10^9 points and more, too many times to build.
+MAX_SAMPLE_POINTS = 10 ** 6
 
 # Time points per signal evaluation in sinc-mode error quadrature; bounds
 # the memory of the times x columns cardinal-series design.
@@ -110,29 +115,36 @@ def _grid_times(rate: Fraction, phase: Fraction, indices) -> tuple:
 
 
 def build_sample_set(plan: SamplingPlan, mode: str, period_or_window) -> SampleSet:
-    """Realize the plan's grids as concrete sample times."""
-    return _realize(plan.grids, plan.n, mode, period_or_window)
+    """Realize the plan's grids as concrete sample times.
 
-
-def _realize(grids, n: int, mode: str, period_or_window) -> SampleSet:
-    realized = []
+    Counts the points first and refuses a set of more than
+    ``MAX_SAMPLE_POINTS`` before building any time.
+    """
     if mode == "periodic":
-        period = Fraction(period_or_window)
-        if period <= 0:
+        domain = Fraction(period_or_window)
+        if domain <= 0:
             raise ProblemFormatError("period must be positive")
-        for g in grids:
-            realized.append(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase,
-                                         _periodic_grid_times(g.rate, g.phase, period)))
-        return SampleSet(n=n, mode="periodic", period=period, window=None, grids=tuple(realized))
-    if mode == "sinc":
-        window = (Fraction(period_or_window[0]), Fraction(period_or_window[1]))
-        if window[1] <= window[0]:
+        points = sum(g.rate * domain for g in plan.grids)
+        grid_times = _periodic_grid_times
+    elif mode == "sinc":
+        domain = (Fraction(period_or_window[0]), Fraction(period_or_window[1]))
+        if domain[1] <= domain[0]:
             raise ProblemFormatError("window must be non-degenerate")
-        for g in grids:
-            realized.append(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase,
-                                         _sinc_grid_times(g.rate, g.phase, window)))
-        return SampleSet(n=n, mode="sinc", period=None, window=window, grids=tuple(realized))
-    raise ProblemFormatError(f"unknown mode {mode!r}")
+        points = sum(max(0, hi - lo + 1) for lo, hi in
+                     (sinc_indices(g.rate, g.phase, domain) for g in plan.grids))
+        grid_times = _sinc_grid_times
+    else:
+        raise ProblemFormatError(f"unknown mode {mode!r}")
+    if points > MAX_SAMPLE_POINTS:
+        raise ProblemFormatError(
+            f"the sample set would hold about 10^{math.floor(math.log10(int(points)))} points, "
+            f"more than the {MAX_SAMPLE_POINTS} a sample set may hold; choose a shorter "
+            f"period or window")
+    grids = tuple(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase,
+                               grid_times(g.rate, g.phase, domain)) for g in plan.grids)
+    periodic = mode == "periodic"
+    return SampleSet(n=plan.n, mode=mode, period=domain if periodic else None,
+                     window=None if periodic else domain, grids=grids)
 
 
 def redistribute(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence,
@@ -596,23 +608,6 @@ def recovery_error(truth: GraphSignal, recovered: GraphSignal, mode: str,
             else {"error": errs[v], "relative": False} for v in range(n)}
 
 
-def plan_roundtrip_ok(plan: SamplingPlan, spectrum: Spectrum, seed: int = 0,
-                      tol: float = 1e-8) -> bool:
-    """Cheap self-test: a random plan-parameterized signal survives the
-    sample/recover round trip at the plan's least valid period."""
-    period = least_period([g.rate for g in plan.grids])
-    truth = assemble(plan, "periodic", period, draw_contents(plan, "periodic", period, seed))
-    sset = build_sample_set(plan, "periodic", period)
-    try:
-        result = recover(sample_signal(truth, sset), plan, spectrum, sset)
-    except ReconstructionError:
-        return False
-    top = max(truth.cutoff, result.recovered.cutoff)
-    diff = pad_coeffs(truth.coeffs, top) - pad_coeffs(result.recovered.coeffs, top)
-    scale = max(1.0, float(np.max(np.abs(truth.coeffs))) if truth.coeffs.size else 1.0)
-    return float(np.max(np.abs(diff))) <= tol * scale
-
-
 # --- global sampling operator (analysis tool) -------------------------------
 
 def sampling_operator(plan: SamplingPlan, sample_set: SampleSet):
@@ -628,9 +623,3 @@ def sampling_operator(plan: SamplingPlan, sample_set: SampleSet):
     matrix = np.zeros((sample_set.n_points(), total_cols)) if system is None else system.matrix
     return matrix, blocks, [(grid.grid_id, t) for grid in grids for t in grid.times]
 
-
-def unknowns_to_signal(plan: SamplingPlan, blocks, vector: np.ndarray,
-                       period) -> GraphSignal:
-    """Interpret a coefficient vector of the sampling operator as a signal."""
-    contents = {unknown: vector[lo:lo + cols] for unknown, lo, cols in blocks}
-    return assemble(plan, "periodic", Fraction(period), contents)

@@ -13,9 +13,8 @@ shared scalar bases, in two realizations:
   with edge effects assessed on an inner window.
 
 The periodic model also admits a direct coefficient-space description of
-the whole constrained signal space (dimension, random members, membership
-verification), which serves as the independent oracle for the planner and
-the recovery pipeline.
+the whole constrained signal space: its dimension, and the membership check
+every synthesized periodic signal passes.
 """
 
 from __future__ import annotations
@@ -125,18 +124,6 @@ def eval_pair(first: GraphSignal, second: GraphSignal, times) -> tuple:
     return first._apply(design), second._apply(design if shared else second.design(times))
 
 
-def PeriodicSignal(period, coeffs) -> GraphSignal:
-    """Periodic signal from its n x (2K+1) trig-coefficient matrix.
-
-    The one trig block is labelled with bandwidth (K+1)/T, the largest
-    whose harmonics (strictly below it) stop at K.
-    """
-    period = Fraction(period)
-    coeffs = np.asarray(coeffs, dtype=float)
-    return GraphSignal("periodic", period, coeffs,
-                       (Fraction((coeffs.shape[1] + 1) // 2) / period,))
-
-
 def pad_coeffs(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
     want = n_trig_coeffs(cutoff)
     if coeffs.shape[-1] >= want:
@@ -145,7 +132,7 @@ def pad_coeffs(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
     return np.pad(coeffs, pad)
 
 
-# --- coefficient-space oracle (periodic) ----------------------------------
+# --- coefficient-space description (periodic) ------------------------------
 
 def _per_harmonic_constraints(spectrum: Spectrum, profile: BandwidthProfile,
                               period: Fraction, k: int):
@@ -172,27 +159,6 @@ def space_dimension(spectrum: Spectrum, profile: BandwidthProfile, period) -> in
         basis = null_space(spectrum.submatrix(rows, active))
         dim += basis.shape[1] * (1 if k == 0 else 2)
     return dim
-
-
-def random_member(spectrum: Spectrum, profile: BandwidthProfile, period, seed) -> GraphSignal:
-    """Uniform-ish random element of the constrained space (oracle sampler)."""
-    period = Fraction(period)
-    rng = np.random.default_rng(seed)
-    top = max((harmonic_cutoff(b, period) for b in profile.vertex_bw), default=-1)
-    coeffs = np.zeros((spectrum.n, n_trig_coeffs(top)))
-    for k in range(0, top + 1):
-        active, rows = _per_harmonic_constraints(spectrum, profile, period, k)
-        if not active:
-            continue
-        basis = null_space(spectrum.submatrix(rows, active))
-        if basis.shape[1] == 0:
-            continue
-        if k == 0:
-            coeffs[active, 0] = basis @ rng.standard_normal(basis.shape[1])
-        else:
-            coeffs[active, 2 * k - 1] = basis @ rng.standard_normal(basis.shape[1])
-            coeffs[active, 2 * k] = basis @ rng.standard_normal(basis.shape[1])
-    return PeriodicSignal(period, coeffs)
 
 
 def _first_harmonics_beyond(coeffs: np.ndarray, limits: dict, cutoff: int, threshold) -> dict:
@@ -223,10 +189,6 @@ def membership_violations(spectrum: Spectrum, profile: BandwidthProfile,
     bad += [("frequency", f, k) for f, k in _first_harmonics_beyond(
         transformed, freq_limits, signal.cutoff, tol * scale).items()]
     return bad
-
-
-def verify_membership(spectrum, profile, signal, tol: float = COEFF_TOL) -> bool:
-    return not membership_violations(spectrum, profile, signal, tol)
 
 
 # --- synthesis -------------------------------------------------------------
@@ -286,26 +248,3 @@ def synthesize_signal(spectrum: Spectrum, profile: BandwidthProfile, seed,
         if bad:
             raise AssertionError(f"synthesized signal violates its own constraints: {bad}")
     return signal
-
-
-def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period) -> GraphSignal:
-    """Signal whose peeled transform has support reaching the quotient bound.
-
-    Construction from the tightness argument: full-bandwidth content at a
-    contributing vertex of the optimal uniqueness set, zero elsewhere on it.
-    """
-    from .dependence import x_support
-
-    period = Fraction(period)
-    support = x_support(step.x_vec)
-    cutoff = harmonic_cutoff(step.b_star, period)
-    candidates = [v for v, hit in zip(step.chosen_v0, support) if hit
-                  and profile.vertex_bw[v] >= step.b_star]
-    if not candidates:
-        raise AssertionError("no witness vertex; quotient bound computation inconsistent")
-    vstar = candidates[0]
-    coeffs = np.zeros(n_trig_coeffs(cutoff))
-    if cutoff >= 0:
-        coeffs[0 if cutoff == 0 else 2 * cutoff - 1] = 1.0
-    full = np.outer(step.extension[:, step.chosen_v0.index(vstar)], coeffs)
-    return PeriodicSignal(period, full)

@@ -1,4 +1,4 @@
-"""Graphs, shift operators, eigendecomposition and the graph Fourier transform."""
+"""Graphs, shift operators and eigendecomposition."""
 
 from __future__ import annotations
 
@@ -192,10 +192,3 @@ def eigendecompose(shift: ShiftOperator, tol: float = ORTHONORMALITY_TOL) -> Spe
 
     return Spectrum(eigenvalues=eigenvalues, basis=basis, multiplicity_groups=tuple(groups))
 
-
-def gft(spectrum: Spectrum, snapshot: np.ndarray, frequency: int) -> float:
-    """Graph Fourier transform of one snapshot at one frequency: u_lambda . f."""
-    snapshot = np.asarray(snapshot, dtype=float)
-    if snapshot.shape != (spectrum.n,):
-        raise ValueError(f"snapshot must have length {spectrum.n}")
-    return float(spectrum.row(frequency) @ snapshot)

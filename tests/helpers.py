@@ -3,12 +3,19 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
 import ctgs
+from ctgs import BandwidthProfile, GraphSignal, SamplingPlan, Spectrum
 from ctgs.dependence import x_support
-from ctgs.numerics import is_inf
+from ctgs.errors import ReconstructionError
+from ctgs.numerics import (COEFF_TOL, harmonic_cutoff, is_inf, least_period, n_trig_coeffs,
+                           null_space)
+from ctgs.sampling import build_sample_set, recover, sample_signal
+from ctgs.signals import (_per_harmonic_constraints, assemble, draw_contents,
+                          membership_violations, pad_coeffs)
 
 B_POOL = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
           Fraction(5, 2), Fraction(3), Fraction(4), Fraction(5)]
@@ -233,6 +240,98 @@ def membership_violations_loop(spectrum, profile, signal, tol=ctgs.numerics.COEF
                 bad.append((kind, index, k))
                 break
     return bad
+
+
+# --- signal-space and round-trip oracles -------------------------------------
+
+def PeriodicSignal(period, coeffs) -> GraphSignal:
+    """Periodic signal from its n x (2K+1) trig-coefficient matrix.
+
+    The one trig block is labelled with bandwidth (K+1)/T, the largest
+    whose harmonics (strictly below it) stop at K.
+    """
+    period = Fraction(period)
+    coeffs = np.asarray(coeffs, dtype=float)
+    return GraphSignal("periodic", period, coeffs,
+                       (Fraction((coeffs.shape[1] + 1) // 2) / period,))
+
+
+def random_member(spectrum: Spectrum, profile: BandwidthProfile, period, seed) -> GraphSignal:
+    """Uniform-ish random element of the constrained space (oracle sampler)."""
+    period = Fraction(period)
+    rng = np.random.default_rng(seed)
+    top = max((harmonic_cutoff(b, period) for b in profile.vertex_bw), default=-1)
+    coeffs = np.zeros((spectrum.n, n_trig_coeffs(top)))
+    for k in range(0, top + 1):
+        active, rows = _per_harmonic_constraints(spectrum, profile, period, k)
+        if not active:
+            continue
+        basis = null_space(spectrum.submatrix(rows, active))
+        if basis.shape[1] == 0:
+            continue
+        if k == 0:
+            coeffs[active, 0] = basis @ rng.standard_normal(basis.shape[1])
+        else:
+            coeffs[active, 2 * k - 1] = basis @ rng.standard_normal(basis.shape[1])
+            coeffs[active, 2 * k] = basis @ rng.standard_normal(basis.shape[1])
+    return PeriodicSignal(period, coeffs)
+
+
+def verify_membership(spectrum, profile, signal, tol: float = COEFF_TOL) -> bool:
+    return not membership_violations(spectrum, profile, signal, tol)
+
+
+def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period) -> GraphSignal:
+    """Signal whose peeled transform has support reaching the quotient bound.
+
+    Construction from the tightness argument: full-bandwidth content at a
+    contributing vertex of the optimal uniqueness set, zero elsewhere on it.
+    """
+    period = Fraction(period)
+    support = x_support(step.x_vec)
+    cutoff = harmonic_cutoff(step.b_star, period)
+    candidates = [v for v, hit in zip(step.chosen_v0, support) if hit
+                  and profile.vertex_bw[v] >= step.b_star]
+    if not candidates:
+        raise AssertionError("no witness vertex; quotient bound computation inconsistent")
+    vstar = candidates[0]
+    coeffs = np.zeros(n_trig_coeffs(cutoff))
+    if cutoff >= 0:
+        coeffs[0 if cutoff == 0 else 2 * cutoff - 1] = 1.0
+    full = np.outer(step.extension[:, step.chosen_v0.index(vstar)], coeffs)
+    return PeriodicSignal(period, full)
+
+
+def plan_roundtrip_ok(plan: SamplingPlan, spectrum: Spectrum, seed: int = 0,
+                      tol: float = 1e-8) -> bool:
+    """Cheap self-test: a random plan-parameterized signal survives the
+    sample/recover round trip at the plan's least valid period."""
+    period = least_period([g.rate for g in plan.grids])
+    truth = assemble(plan, "periodic", period, draw_contents(plan, "periodic", period, seed))
+    sset = build_sample_set(plan, "periodic", period)
+    try:
+        result = recover(sample_signal(truth, sset), plan, spectrum, sset)
+    except ReconstructionError:
+        return False
+    top = max(truth.cutoff, result.recovered.cutoff)
+    diff = pad_coeffs(truth.coeffs, top) - pad_coeffs(result.recovered.coeffs, top)
+    scale = max(1.0, float(np.max(np.abs(truth.coeffs))) if truth.coeffs.size else 1.0)
+    return float(np.max(np.abs(diff))) <= tol * scale
+
+
+def unknowns_to_signal(plan: SamplingPlan, blocks, vector: np.ndarray,
+                       period) -> GraphSignal:
+    """Interpret a coefficient vector of the sampling operator as a signal."""
+    contents = {unknown: vector[lo:lo + cols] for unknown, lo, cols in blocks}
+    return assemble(plan, "periodic", Fraction(period), contents)
+
+
+def gft(spectrum: Spectrum, snapshot: np.ndarray, frequency: int) -> float:
+    """Graph Fourier transform of one snapshot at one frequency: u_lambda . f."""
+    snapshot = np.asarray(snapshot, dtype=float)
+    if snapshot.shape != (spectrum.n,):
+        raise ValueError(f"snapshot must have length {spectrum.n}")
+    return float(spectrum.row(frequency) @ snapshot)
 
 
 # --- per-candidate oracles for the greedy scans ------------------------------
@@ -543,8 +642,9 @@ def redistribute_placement_only(spectrum, lambda0, vertex_bw, v0, v_star, sample
         [planner._prefix_spread_grids(spectrum, lambda0, vertex_bw, *valid),
          planner._level_spread_grids(spectrum, lambda0, vertex_bw, *valid)],
         key=lambda opt: max(planner.rates_by_vertex(opt[0]).values(), default=Fraction(0)))
-    spread = ctgs.sampling._realize(planner._place_spread_grids(spread_grids, ()),
-                                    sample_set.n, sample_set.mode, sample_set.domain)
+    spread = build_sample_set(
+        SimpleNamespace(n=sample_set.n, grids=planner._place_spread_grids(spread_grids, ())),
+        sample_set.mode, sample_set.domain)
     if ctgs.sample_rate(spread) != ctgs.sample_rate(sample_set):
         raise AssertionError("redistribution changed the sample rate")
     return spread

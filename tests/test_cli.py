@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -314,6 +315,74 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"]["kind"] == "infeasible"
+
+
+def test_sample_set_past_the_guard_exits_validation(tmp_path, capsys, monkeypatch):
+    """One point past ``MAX_SAMPLE_POINTS`` is refused before any sample
+    time is built."""
+    path = tmp_path / "one_vertex.json"
+    path.write_text(json.dumps({"n": 1, "edges": [], "B": ["1/2"], "C": ["inf"]}))
+    period = ctgs.sampling.MAX_SAMPLE_POINTS + 1   # one grid of rate 1
+
+    def built(*args):
+        raise AssertionError("sample times were built")
+
+    monkeypatch.setattr(ctgs.sampling, "_grid_times", built)
+    code, out, err = _run(capsys, ["plan", "--input", str(path), "--format", "csv",
+                                   "--period", str(period)])
+    assert (code, out) == (2, "")
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation"
+    assert "about 10^6 points" in payload["message"]
+
+
+UNREALIZABLE = {"n": 3, "edges": [[0, 1], [1, 2]],
+                "B": ["1/999999937", "1/999999929", "1/999999893"], "C": [0, "inf", "inf"]}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (UNREALIZABLE, ["plan", "--format", "csv"]),
+    (UNREALIZABLE, ["simulate"]),
+    (UNREALIZABLE, ["redistribute", "--vstar", "0,1,2"]),
+    ({"n": 1, "edges": [], "B": ["1/2"], "C": ["inf"], "options": {"period": 1e300}},
+     ["simulate"]),
+], ids=["plan-csv", "simulate", "redistribute", "simulate-period-1e300"])
+def test_unrealizable_sample_set_exits_validation_at_once(tmp_path, capsys, doc, argv):
+    """Bounds whose grids share no short period, or a huge period, ask for
+    billions of sample times or more: refused within a second, not built."""
+    path = tmp_path / "unrealizable.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = _run(capsys, [argv[0], "--input", str(path), *argv[1:]])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "a sample set may hold" in json.loads(err)["error"]["message"]
+
+
+CYCLE4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "B": [4, 4, 1, "5/2"]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "plan"])
+def test_c_varying_inside_multiplicity_group_exits_validation(tmp_path, capsys, command):
+    """The 4-cycle's eigenvalue 2 is double (lambda2, lambda3). Bounding its
+    two eigenvectors differently makes the space depend on the basis the
+    solver returns (rate 5 with one basis, 2 with rotations of it)."""
+    path = tmp_path / "cycle4.json"
+    path.write_text(json.dumps({**CYCLE4, "C": [0, 0, "inf", 0]}))
+    code, out, err = _run(capsys, [command, "--input", str(path)])
+    assert (code, out) == (2, "")
+    payload = json.loads(err)["error"]
+    assert payload["pointer"] == "/C/2"
+    assert "(lambda2, lambda3)" in payload["message"]
+
+
+@pytest.mark.parametrize("freq_bw, rate", [([0, "inf", "inf", 0], 7), ([0, 1, 1, "inf"], 6)])
+def test_c_constant_on_multiplicity_groups_plans(tmp_path, capsys, freq_bw, rate):
+    path = tmp_path / "cycle4.json"
+    path.write_text(json.dumps({**CYCLE4, "C": freq_bw}))
+    code, out, err = _run(capsys, ["plan", "--input", str(path)])
+    assert code == 0, err
+    assert reports.parse_report(out)["total_rate"] == rate
 
 
 def test_inadmissible_greedy_chain_exits_infeasible(worked_problem_file, capsys, monkeypatch):

@@ -13,9 +13,12 @@ from helpers import (
     counting_density,
     greedy_sequence_loop,
     greedy_vertex_set_loop,
+    plan_roundtrip_ok,
     plannable_at,
     plannable_instances,
+    plannable_problems,
     quotient_bound_bruteforce,
+    random_member,
     random_profile,
     random_spectrum,
     split_grids_loop,
@@ -324,6 +327,35 @@ def test_total_rate_equals_counting_density():
         assert bundle[-1].total_rate == counting_density(spectrum, bundle[1])
 
 
+def test_relabelling_vertices_changes_nothing():
+    """Relabelling the vertices moves the edges and B; C stays, since the
+    frequencies are ordered by eigenvalue. With distinct eigenvalues each
+    eigenvector only moves its entries (and may flip sign), so the rate,
+    the quotient bandwidths and the counting density stay."""
+    rng = np.random.default_rng(23)
+    checked = 0
+    for graph, spectrum, profile, bundle in plannable_problems(23, 200, n_max=9):
+        if spectrum.has_repeated_eigenvalues:
+            continue
+        n = graph.n_vertices
+        perm = rng.permutation(n)   # vertex v becomes perm[v]
+        moved = ctgs.GraphModel.create(
+            n, [[int(perm[i]), int(perm[j]), w] for i, j, w in graph.edges])
+        vertex_bw = [None] * n
+        for v, b in enumerate(profile.vertex_bw):
+            vertex_bw[perm[v]] = b
+        moved_spectrum = ctgs.eigendecompose(ctgs.build_shift_operator(moved, "laplacian"))
+        _, moved_finite, moved_filtration, _, moved_plan = ctgs.plan_problem(
+            moved_spectrum, ctgs.BandwidthProfile.create(vertex_bw, profile.freq_bw))
+        _, finite, filtration, _, plan = bundle
+        assert moved_plan.total_rate == plan.total_rate
+        assert moved_filtration.quotient_bandwidths == filtration.quotient_bandwidths
+        assert counting_density(moved_spectrum, moved_finite) \
+            == counting_density(spectrum, finite)
+        checked += 1
+    assert checked > 150
+
+
 def test_total_rate_equals_counting_density_n200():
     spectrum, profile = plannable_at(200, 200)
     _, finite, _, _, plan = ctgs.plan_problem(spectrum, profile)
@@ -420,7 +452,7 @@ def test_split_moves_load_and_preserves_rate():
     assert moved.total_rate == plan.total_rate
 
     sset = ctgs.build_sample_set(moved, "periodic", 1)
-    truth = ctgs.random_member(spectrum, finite, 1, 3)
+    truth = random_member(spectrum, finite, 1, 3)
     result = ctgs.recover(ctgs.sample_signal(truth, sset), moved, spectrum, sset)
     errors = ctgs.recovery_error(truth, result.recovered, "periodic", 1, 3)
     assert max(e["error"] for e in errors.values()) < 1e-9
@@ -433,7 +465,7 @@ def test_split_on_worked_plan_recovers(worked_spectrum, worked_bundle):
     assert moved.per_vertex_rates[4] == Fraction(6)
     assert moved.per_vertex_rates[1] == Fraction(6)
     sset = ctgs.build_sample_set(moved, "periodic", 1)
-    truth = ctgs.random_member(worked_spectrum, finite, 1, 8)
+    truth = random_member(worked_spectrum, finite, 1, 8)
     result = ctgs.recover(ctgs.sample_signal(truth, sset), moved, worked_spectrum, sset)
     errors = ctgs.recovery_error(truth, result.recovered, "periodic", 1, 5)
     assert max(e["error"] for e in errors.values()) < 1e-9
@@ -494,7 +526,7 @@ def test_split_refuses_exactly_the_unrecoverable_splits():
                                                                donor)) <= 1e-10:
                     continue
                 splits += 1
-                recoverable = ctgs.sampling.plan_roundtrip_ok(
+                recoverable = plan_roundtrip_ok(
                     unchecked_split(plan, donor, spec.vertex, half), spectrum)
                 try:
                     moved = ctgs.split_rate_transform(plan, donor, spec.vertex, half)
@@ -502,7 +534,7 @@ def test_split_refuses_exactly_the_unrecoverable_splits():
                     assert not recoverable and "unrecoverable" in str(exc)
                     refused += 1
                     continue
-                assert recoverable and ctgs.sampling.plan_roundtrip_ok(moved, spectrum)
+                assert recoverable and plan_roundtrip_ok(moved, spectrum)
     assert (refused, splits) == (77, 463)
 
 

@@ -8,8 +8,10 @@ import pytest
 import ctgs
 from ctgs.sampling import RealizedGrid
 
-from helpers import (plannable_instances, recover_dense, redistribute_placement_only,
-                     sinc_recovery_error_two_designs, spread_set, unchecked_split)
+from helpers import (PeriodicSignal, plan_roundtrip_ok, plannable_instances, random_member,
+                     recover_dense, redistribute_placement_only,
+                     sinc_recovery_error_two_designs, spread_set, unchecked_split,
+                     unknowns_to_signal, verify_membership)
 
 
 def _base_only(sample_set):
@@ -181,7 +183,7 @@ def _first_recoverable_spread(plan, spectrum, v_star):
                      key=lambda opt: max(planner.rates_by_vertex(opt[0]).values()))
     for option in options:
         candidate = planner._spread_plan(plan, option, v_star)
-        if ctgs.sampling.plan_roundtrip_ok(candidate, spectrum):
+        if plan_roundtrip_ok(candidate, spectrum):
             return candidate
     return None
 
@@ -276,7 +278,7 @@ def test_redistribute_random_instances_respect_bound():
         spread_plan = ctgs.redistribute_plan(base_plan, spectrum, v_star)
         sp_period = ctgs.numerics.least_period([g.rate for g in spread_plan.grids])
         sset = ctgs.build_sample_set(spread_plan, "periodic", sp_period)
-        truth = ctgs.random_member(spectrum, simple, sp_period, checked)
+        truth = random_member(spectrum, simple, sp_period, checked)
         result = ctgs.recover(ctgs.sample_signal(truth, sset), spread_plan, spectrum, sset)
         errors = ctgs.recovery_error(truth, result.recovered, "periodic", sp_period, spectrum.n)
         assert max(e["error"] for e in errors.values()) < 1e-9
@@ -315,7 +317,7 @@ def test_redistributed_plan_recovery(worked_spectrum, worked_bundle):
     assert spread.total_rate == plan.total_rate
     sset = ctgs.build_sample_set(spread, "periodic", 1)
     for seed in range(3):
-        truth = ctgs.random_member(worked_spectrum, finite, 1, seed)
+        truth = random_member(worked_spectrum, finite, 1, seed)
         result = ctgs.recover(ctgs.sample_signal(truth, sset), spread, worked_spectrum, sset)
         errors = ctgs.recovery_error(truth, result.recovered, "periodic", 1, 5)
         assert max(e["error"] for e in errors.values()) < 1e-9
@@ -324,7 +326,7 @@ def test_redistributed_plan_recovery(worked_spectrum, worked_bundle):
 def test_sample_signal_values(worked_spectrum, worked_bundle):
     _, finite, _, _, plan = worked_bundle
     sset = ctgs.build_sample_set(plan, "periodic", 1)
-    zero = ctgs.PeriodicSignal(period=Fraction(1), coeffs=np.zeros((5, 1)))
+    zero = PeriodicSignal(period=Fraction(1), coeffs=np.zeros((5, 1)))
     obs = ctgs.sample_signal(zero, sset)
     assert len(obs.entries) == 32
     assert all(v == 0.0 for _, _, _, v in obs.entries)
@@ -335,7 +337,7 @@ def test_constant_signal_two_samples(two_path_spectrum):
     _, finite, _, _, plan = ctgs.plan_problem(two_path_spectrum, profile)
     sset = ctgs.build_sample_set(plan, "periodic", 1)
     coeffs = np.array([[2.5], [-2.5]])
-    signal = ctgs.PeriodicSignal(period=Fraction(1), coeffs=coeffs)
+    signal = PeriodicSignal(period=Fraction(1), coeffs=coeffs)
     obs = ctgs.sample_signal(signal, sset)
     values = [v for _, _, _, v in obs.entries]
     assert len(values) == 2
@@ -345,7 +347,7 @@ def test_constant_signal_two_samples(two_path_spectrum):
 def test_recover_zero_observations(worked_spectrum, worked_bundle):
     _, _, _, _, plan = worked_bundle
     sset = ctgs.build_sample_set(plan, "periodic", 1)
-    zero = ctgs.PeriodicSignal(period=Fraction(1), coeffs=np.zeros((5, 1)))
+    zero = PeriodicSignal(period=Fraction(1), coeffs=np.zeros((5, 1)))
     result = ctgs.recover(ctgs.sample_signal(zero, sset), plan, worked_spectrum, sset)
     assert np.max(np.abs(result.recovered.coeffs)) < 1e-12
 
@@ -355,7 +357,7 @@ def test_recover_two_path_level0(two_path_spectrum):
     _, finite, _, _, plan = ctgs.plan_problem(two_path_spectrum, profile)
     assert plan.per_vertex_rates == {0: Fraction(6)}
     sset = ctgs.build_sample_set(plan, "periodic", 1)
-    truth = ctgs.random_member(two_path_spectrum, finite, 1, 4)
+    truth = random_member(two_path_spectrum, finite, 1, 4)
     result = ctgs.recover(ctgs.sample_signal(truth, sset), plan, two_path_spectrum, sset)
     times = np.linspace(0, 1, 13)
     assert np.allclose(result.recovered.eval(1, times), -result.recovered.eval(0, times))
@@ -366,7 +368,7 @@ def test_recover_two_path_level0(two_path_spectrum):
 def test_recover_components_sum(worked_spectrum, worked_bundle):
     _, finite, _, _, plan = worked_bundle
     sset = ctgs.build_sample_set(plan, "periodic", 1)
-    truth = ctgs.random_member(worked_spectrum, finite, 1, 5)
+    truth = random_member(worked_spectrum, finite, 1, 5)
     result = ctgs.recover(ctgs.sample_signal(truth, sset), plan, worked_spectrum, sset)
     times = np.linspace(0, 1, 11)
     for v in range(5):
@@ -377,7 +379,7 @@ def test_recover_components_sum(worked_spectrum, worked_bundle):
 def test_recover_detects_missing_observations(worked_spectrum, worked_bundle):
     _, finite, _, _, plan = worked_bundle
     sset = ctgs.build_sample_set(plan, "periodic", 1)
-    truth = ctgs.random_member(worked_spectrum, finite, 1, 6)
+    truth = random_member(worked_spectrum, finite, 1, 6)
     obs = ctgs.sample_signal(truth, sset)
     clipped = ctgs.Observation(entries=obs.entries[:-1])
     with pytest.raises(ctgs.ReconstructionError):
@@ -390,15 +392,15 @@ def test_recover_detects_inconsistent_observations(worked_spectrum, worked_bundl
     # a vertex-bandwidth violation: content at vertex 2 beyond its bound
     coeffs = np.zeros((5, 7))
     coeffs[2, 5] = 1.0
-    alien = ctgs.PeriodicSignal(period=Fraction(1), coeffs=coeffs)
+    alien = PeriodicSignal(period=Fraction(1), coeffs=coeffs)
     with pytest.raises(ctgs.ReconstructionError):
         ctgs.recover(ctgs.sample_signal(alien, sset), plan, worked_spectrum, sset)
 
 
 def test_recovery_error_self_and_zero(worked_spectrum, worked_bundle):
     _, finite, _, _, _ = worked_bundle
-    truth = ctgs.random_member(worked_spectrum, finite, 1, 7)
-    zero = ctgs.PeriodicSignal(period=Fraction(1), coeffs=np.zeros((5, 1)))
+    truth = random_member(worked_spectrum, finite, 1, 7)
+    zero = PeriodicSignal(period=Fraction(1), coeffs=np.zeros((5, 1)))
     self_err = ctgs.recovery_error(truth, truth, "periodic", 1, 5)
     assert all(e["error"] == 0 for e in self_err.values())
     vs_zero = ctgs.recovery_error(truth, zero, "periodic", 1, 5)
@@ -519,7 +521,7 @@ def test_oracle_members_recoverable(worked_spectrum, worked_bundle):
     _, finite, _, _, plan = worked_bundle
     sset = ctgs.build_sample_set(plan, "periodic", 1)
     for seed in range(5):
-        truth = ctgs.random_member(worked_spectrum, finite, 1, seed + 50)
+        truth = random_member(worked_spectrum, finite, 1, seed + 50)
         result = ctgs.recover(ctgs.sample_signal(truth, sset), plan, worked_spectrum, sset)
         errors = ctgs.recovery_error(truth, result.recovered, "periodic", 1, 5)
         assert max(e["error"] for e in errors.values()) < 1e-9
@@ -629,7 +631,7 @@ def test_spread_certificate_matches_round_trip():
                        planner._level_spread_grids(*args, *valid)):
             candidate = planner._spread_plan(plan, option, v_star)
             certified = not ctgs.sampling.rank_deficient_stages(candidate)
-            assert certified == ctgs.sampling.plan_roundtrip_ok(candidate, spectrum)
+            assert certified == plan_roundtrip_ok(candidate, spectrum)
             checked += 1
             failed += not certified
     assert checked > 200 and failed > checked // 2
@@ -666,8 +668,8 @@ def test_six_deletions_break_uniqueness(worked_spectrum, worked_bundle):
         _, _, vt = np.linalg.svd(kept, full_matrices=True)
         null_vec = vt[-1]
         assert np.max(np.abs(kept @ null_vec)) < 1e-8
-        witness = ctgs.sampling.unknowns_to_signal(plan, blocks, null_vec, 1)
-        assert ctgs.verify_membership(worked_spectrum, finite, witness)
+        witness = unknowns_to_signal(plan, blocks, null_vec, 1)
+        assert verify_membership(worked_spectrum, finite, witness)
         assert np.max(np.abs(witness.coeffs)) > 1e-6
 
 
@@ -699,6 +701,19 @@ def test_grid_times_exact_as_fractions_and_floats():
         assert grid.float_times.tolist() == [float(t) for t in times]
         checked += len(times)
     assert checked > 1000
+
+
+@pytest.mark.parametrize("mode, domain", [("periodic", 2), ("sinc", (-5, 5))])
+def test_sample_point_guard_counts_exactly(worked_bundle, monkeypatch, mode, domain):
+    """The guard counts exactly the points the set would hold: a set of
+    exactly ``MAX_SAMPLE_POINTS`` is built, one more is refused."""
+    _, _, _, _, plan = worked_bundle
+    points = ctgs.build_sample_set(plan, mode, domain).n_points()
+    monkeypatch.setattr(ctgs.sampling, "MAX_SAMPLE_POINTS", points)
+    assert ctgs.build_sample_set(plan, mode, domain).n_points() == points
+    monkeypatch.setattr(ctgs.sampling, "MAX_SAMPLE_POINTS", points - 1)
+    with pytest.raises(ctgs.ProblemFormatError, match="more than the"):
+        ctgs.build_sample_set(plan, mode, domain)
 
 
 @pytest.mark.parametrize("mode, domain", [("periodic", 1), ("sinc", (-3, 3))])

@@ -5,12 +5,16 @@ import numpy as np
 import ctgs
 
 from helpers import (
+    PeriodicSignal,
     fresh_design,
     membership_violations_loop,
     plannable_instances,
+    quotient_witness,
+    random_member,
     random_profile,
     random_spectrum,
     trig_design_per_harmonic,
+    verify_membership,
 )
 
 
@@ -28,13 +32,13 @@ def test_worked_space_dimension(worked_spectrum, worked_bundle):
 def test_random_member_is_member(worked_spectrum, worked_bundle):
     _, finite, _, _, _ = worked_bundle
     for seed in range(5):
-        member = ctgs.random_member(worked_spectrum, finite, 1, seed)
-        assert ctgs.verify_membership(worked_spectrum, finite, member)
+        member = random_member(worked_spectrum, finite, 1, seed)
+        assert verify_membership(worked_spectrum, finite, member)
 
 
 def test_zero_space_flag(two_path_spectrum):
     profile = ctgs.BandwidthProfile.create([0, 0], ["inf", "inf"])
-    member = ctgs.random_member(two_path_spectrum, profile, 1, 0)
+    member = random_member(two_path_spectrum, profile, 1, 0)
     assert member.zero_space
     assert not np.any(member.coeffs)
 
@@ -57,7 +61,7 @@ def test_synthesize_zero_bandwidths(two_path_spectrum):
 def test_synthesized_membership_support(worked_spectrum, worked_bundle):
     _, finite, filtration, seq, plan = worked_bundle
     signal = ctgs.synthesize_signal(worked_spectrum, finite, 42, "periodic", 1, plan=plan)
-    assert ctgs.verify_membership(worked_spectrum, finite, signal)
+    assert verify_membership(worked_spectrum, finite, signal)
     transformed = worked_spectrum.basis @ signal.coeffs
     # transform rows stay inside their frequency bounds: none at or above
     # harmonic index 2 for the bound-2 row, 5 for the bound-5 row
@@ -72,7 +76,7 @@ def test_synthesized_membership_support(worked_spectrum, worked_bundle):
 def test_membership_detects_violation(worked_spectrum, worked_profile):
     coeffs = np.zeros((5, 5))
     coeffs[2, 3] = 1.0  # vertex with bound 1 carrying harmonic 2 content
-    bad = ctgs.PeriodicSignal(period=Fraction(1), coeffs=coeffs)
+    bad = PeriodicSignal(period=Fraction(1), coeffs=coeffs)
     violations = ctgs.membership_violations(worked_spectrum, worked_profile, bad)
     assert ("vertex", 2, 2) in violations
 
@@ -82,10 +86,10 @@ def test_quotient_witness_reaches_bound(worked_spectrum, worked_bundle):
     _, finite, filtration, _, _ = worked_bundle
     period = Fraction(1)
     for step in filtration.steps:
-        witness = ctgs.quotient_witness(worked_spectrum, finite, step, period)
+        witness = quotient_witness(worked_spectrum, finite, step, period)
         level_profile = ctgs.BandwidthProfile(finite.vertex_bw,
                                               filtration.levels[step.level].freq_bw)
-        assert ctgs.verify_membership(worked_spectrum, level_profile, witness)
+        assert verify_membership(worked_spectrum, level_profile, witness)
         image = worked_spectrum.basis[step.lambda_star] @ witness.coeffs
         top = ctgs.numerics.harmonic_cutoff(step.b_star, period)
         lo = 0 if top == 0 else 2 * top - 1
@@ -98,10 +102,10 @@ def test_quotient_witness_random_instances():
         for step in filtration.steps:
             if step.b_star == 0:
                 continue
-            witness = ctgs.quotient_witness(spectrum, finite, step, Fraction(2))
+            witness = quotient_witness(spectrum, finite, step, Fraction(2))
             level_profile = ctgs.BandwidthProfile(finite.vertex_bw,
                                                   filtration.levels[step.level].freq_bw)
-            assert ctgs.verify_membership(spectrum, level_profile, witness)
+            assert verify_membership(spectrum, level_profile, witness)
 
 
 def test_sinc_series_interpolates_nodes():
@@ -131,18 +135,18 @@ def test_membership_violations_match_loop_oracle():
         spectrum = random_spectrum(rng, n)
         profile = random_profile(rng, n)
         period = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-        signal = ctgs.random_member(spectrum, profile, period, trial)
+        signal = random_member(spectrum, profile, period, trial)
         if trial % 3 == 1:
             # a member with one coefficient moved
             coeffs = signal.coeffs.copy()
             if coeffs.size:
                 coeffs[int(rng.integers(0, n)), int(rng.integers(0, coeffs.shape[1]))] += 1.0
-            signal = ctgs.PeriodicSignal(period, coeffs)
+            signal = PeriodicSignal(period, coeffs)
         elif trial % 3 == 2:
             # random rows, with whole columns zeroed so rows stop at random harmonics
             coeffs = rng.standard_normal((n, 2 * int(rng.integers(0, 10)) + 1))
             coeffs[:, rng.random(coeffs.shape[1]) < 0.5] = 0.0
-            signal = ctgs.PeriodicSignal(period, coeffs)
+            signal = PeriodicSignal(period, coeffs)
         want = membership_violations_loop(spectrum, profile, signal)
         assert ctgs.signals.membership_violations(spectrum, profile, signal) == want
         verdicts.add(bool(want))
@@ -159,7 +163,7 @@ def test_design_matches_fresh_scalar_basis():
         _, finite, _, _, plan = bundle
         if trial % 2:
             period = ctgs.numerics.least_period([g.rate for g in plan.grids])
-            signal = ctgs.random_member(spectrum, finite, period, trial)
+            signal = random_member(spectrum, finite, period, trial)
         else:
             half = Fraction(int(rng.integers(1, 8)), int(rng.integers(1, 3)))
             signal = ctgs.synthesize_signal(spectrum, finite, trial, "sinc", (-half, half),
