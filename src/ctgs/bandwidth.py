@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 from .dependence import (enumerate_uniqueness_sets, extension_matrix, greedy_minimal_vertex_set,
                          greedy_scan, is_dependent, x_support)
 from .errors import InfeasibleProblemError, ProblemFormatError, ScaleLimitError
-from .numerics import INF, as_bandwidth, bandwidth_to_json, is_inf
+from .numerics import INF, as_bandwidth, is_inf
 from .spectral import Spectrum
 
 TIGHTEN_GUARD = 12
@@ -55,12 +55,6 @@ class BandwidthProfile:
 
     def with_vertex_bw(self, vertex_bw: Sequence) -> "BandwidthProfile":
         return BandwidthProfile(tuple(vertex_bw), self.freq_bw)
-
-    def to_json(self) -> dict:
-        return {
-            "B": [bandwidth_to_json(b) for b in self.vertex_bw],
-            "C": [bandwidth_to_json(c) for c in self.freq_bw],
-        }
 
 
 def validate_profile(spectrum: Spectrum, profile: BandwidthProfile) -> None:

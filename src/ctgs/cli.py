@@ -55,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", default="json", choices=["json", "csv", "plotdata"])
         cmd.add_argument("--mode", choices=["periodic", "sinc"])
         cmd.add_argument("--period", help="period T for periodic mode")
-        cmd.add_argument("--window", help="sinc window as 't0,t1'; a negative t0 needs the "
-                                          "'=' form, as in --window=-3,3")
+        cmd.add_argument("--window", help="sinc window as 't0,t1'")
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--tolerance", type=float)
         if name == "redistribute":
@@ -134,18 +133,20 @@ def _eigendecompose(problem, tolerance):
     return spectrum
 
 
+def _report_head(command, problem, spectrum, cert) -> dict:
+    """The six keys that open the analyze and plan reports."""
+    graph, profile = problem.graph, problem.profile
+    return {"command": command, "n": graph.n_vertices, "labels": list(graph.vertex_labels),
+            "spectrum": reports.spectrum_summary(graph, spectrum),
+            "profile": {"B": list(profile.vertex_bw), "C": list(profile.freq_bw)},
+            "uniformity": reports.uniformity_summary(graph, cert)}
+
+
 def _cmd_analyze(problem, args):
     _, _, _, _, tolerance = _resolve_options(problem, args)
     spectrum = _eigendecompose(problem, tolerance)
     cert = check_uniform(spectrum, problem.profile)
-    report = {
-        "command": "analyze",
-        "n": problem.graph.n_vertices,
-        "labels": list(problem.graph.vertex_labels),
-        "spectrum": reports.spectrum_summary(problem.graph, spectrum),
-        "profile": problem.profile.to_json(),
-        "uniformity": reports.uniformity_summary(problem.graph, cert),
-    }
+    report = _report_head("analyze", problem, spectrum, cert)
     if cert.is_uniform:
         finite = finitize(spectrum, problem.profile, cert)
         report["finitized_B"] = list(finite.vertex_bw)
@@ -167,12 +168,7 @@ def _cmd_plan(problem, args):
     mode, period, window, _, tolerance = _resolve_options(problem, args)
     spectrum, cert, finite, filtration, seq, plan = _plan_bundle(problem, tolerance)
     report = {
-        "command": "plan",
-        "n": problem.graph.n_vertices,
-        "labels": list(problem.graph.vertex_labels),
-        "spectrum": reports.spectrum_summary(problem.graph, spectrum),
-        "profile": problem.profile.to_json(),
-        "uniformity": reports.uniformity_summary(problem.graph, cert),
+        **_report_head("plan", problem, spectrum, cert),
         "finitized_B": list(finite.vertex_bw),
         "filtration": reports.filtration_summary(problem.graph, filtration),
         "admissible_sequence": reports.sequence_summary(problem.graph, seq),
@@ -290,9 +286,19 @@ _COMMANDS = {
 }
 
 
+def _bind_window(argv) -> list:
+    """``argv`` with each ``--window`` joined to the token after it, which
+    argparse would otherwise read as an option when t0 is negative."""
+    tokens = list(argv)
+    while "--window" in tokens[:-1]:
+        i = tokens.index("--window")
+        tokens[i:i + 2] = [f"--window={tokens[i + 1]}"]
+    return tokens
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_window(sys.argv[1:] if argv is None else argv))
     try:
         try:
             problem = load_problem(args.input)

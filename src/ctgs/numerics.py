@@ -81,16 +81,6 @@ def is_inf(value) -> bool:
     return isinstance(value, float) and math.isinf(value)
 
 
-def bandwidth_to_json(value):
-    """Inverse of :func:`as_bandwidth` for report emission."""
-    if is_inf(value):
-        return "inf"
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return int(frac)
-    return f"{frac.numerator}/{frac.denominator}"
-
-
 def _snap_float(value: float, what: str) -> Fraction:
     frac = Fraction(value).limit_denominator(_FLOAT_TO_FRACTION_MAX_DEN)
     if abs(float(frac) - value) > 1e-12 * max(1.0, abs(value)):

@@ -105,6 +105,13 @@ def parse_problem(text: str) -> Problem:
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ProblemFormatError("labels must be a list of strings", "/labels")
+    # B and C are checked against n before any n-sized object is built
+    b_raw = _require(doc, "B", list, "")
+    c_raw = _require(doc, "C", list, "")
+    if len(b_raw) != n:
+        raise ProblemFormatError(f"B must list {n} vertex bandwidths", "/B")
+    if len(c_raw) != n:
+        raise ProblemFormatError(f"C must list {n} frequency bandwidths", "/C")
     graph = GraphModel.create(n, edges, labels)
 
     shift_field = doc.get("shift", "laplacian")
@@ -122,12 +129,6 @@ def parse_problem(text: str) -> Problem:
     else:
         raise ProblemFormatError('shift must be "laplacian", "adjacency" or {"matrix": ...}', "/shift")
 
-    b_raw = _require(doc, "B", list, "")
-    c_raw = _require(doc, "C", list, "")
-    if len(b_raw) != n:
-        raise ProblemFormatError(f"B must list {n} vertex bandwidths", "/B")
-    if len(c_raw) != n:
-        raise ProblemFormatError(f"C must list {n} frequency bandwidths", "/C")
     profile = BandwidthProfile.create(b_raw, c_raw)
 
     opts = doc.get("options", {})

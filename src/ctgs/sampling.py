@@ -478,7 +478,6 @@ def _stage_values(obs_by_grid, grid) -> np.ndarray:
 @dataclass(eq=False)
 class RecoveryResult:
     recovered: GraphSignal
-    components: list          # level 0 first, then one per quotient level
     per_level_contents: dict  # unknown -> scalar basis coefficients
     diagnostics: dict
 
@@ -494,7 +493,6 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
     diagnostics when a stage system is rank deficient or inconsistent with
     the observations.
     """
-    mode, domain = sample_set.mode, sample_set.domain
     freqs, systems = _stage_systems(plan, sample_set)
     obs_by_grid = observation.by_grid()
     contents: dict = {}
@@ -532,14 +530,13 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
         if freqs is not None:
             system.add_solved(plan, seen)
 
-    # bases first, then levels ascending: summed in this order, ``recovered``
-    # equals the sum of ``components`` bit for bit
-    parts = [{u: c for u, c in contents.items() if u[0] == "base"}]
-    parts += [{u: contents[u]} for u in plan.unknowns if u[0] == "level"]
-    components = [assemble(plan, mode, domain, part) for part in parts]
-    recovered = assemble(plan, mode, domain, {u: c for part in parts for u, c in part.items()})
-    return RecoveryResult(recovered=recovered, components=components,
-                          per_level_contents=contents, diagnostics=diagnostics)
+    # the summation order, bases in solve order then levels ascending, fixes
+    # ``recovered`` bit for bit
+    ordered = {u: c for u, c in contents.items() if u[0] == "base"}
+    ordered.update((u, contents[u]) for u in plan.unknowns if u[0] == "level")
+    recovered = assemble(plan, sample_set.mode, sample_set.domain, ordered)
+    return RecoveryResult(recovered=recovered, per_level_contents=contents,
+                          diagnostics=diagnostics)
 
 
 def rank_deficient_stages(plan: SamplingPlan) -> list:

@@ -453,6 +453,33 @@ def test_numeric_window_reports_like_string_window(tmp_path, capsys):
     assert reports.parse_report(outs[0])["window"] == [-5, 5]
 
 
+def test_window_flag_takes_a_negative_start_in_either_spelling(worked_problem_file, capsys):
+    outs = []
+    for flags in (["--window", "-3,3"], ["--window=-3,3"]):
+        code, out, err = _run(capsys, ["simulate", "--input", worked_problem_file,
+                                       "--mode", "sinc", *flags])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert reports.parse_report(outs[0])["window"] == [-3, 3]
+
+
+@pytest.mark.parametrize("command", ["analyze", "plan", "simulate", "redistribute"])
+def test_oversize_n_exits_validation_before_building_the_graph(tmp_path, capsys, command):
+    # an n x n shift at this n would need terabytes
+    path = tmp_path / "oversize.json"
+    path.write_text(json.dumps({"n": 1000000, "edges": [[0, 1]], "B": [1, 1, 1],
+                                "C": [0, "inf", "inf"]}))
+    start = time.perf_counter()
+    flags = ["--vstar", "v1,v2"] if command == "redistribute" else []
+    code, _, err = _run(capsys, [command, "--input", str(path), *flags])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation"
+    assert payload["pointer"] == "/B"
+
+
 def test_output_directory_artifacts(worked_problem_file, tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code, _, _ = _run(capsys, ["simulate", "--input", worked_problem_file,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ctgs
+import ctgs.reports
 from ctgs.sampling import RealizedGrid
 
 from helpers import (PeriodicSignal, plan_roundtrip_ok, plannable_instances, random_member,
@@ -363,17 +364,6 @@ def test_recover_two_path_level0(two_path_spectrum):
     assert np.allclose(result.recovered.eval(1, times), -result.recovered.eval(0, times))
     errors = ctgs.recovery_error(truth, result.recovered, "periodic", 1, 2)
     assert max(e["error"] for e in errors.values()) < 1e-9
-
-
-def test_recover_components_sum(worked_spectrum, worked_bundle):
-    _, finite, _, _, plan = worked_bundle
-    sset = ctgs.build_sample_set(plan, "periodic", 1)
-    truth = random_member(worked_spectrum, finite, 1, 5)
-    result = ctgs.recover(ctgs.sample_signal(truth, sset), plan, worked_spectrum, sset)
-    times = np.linspace(0, 1, 11)
-    for v in range(5):
-        total = sum(c.eval(v, times) for c in result.components)
-        assert np.allclose(total, result.recovered.eval(v, times), atol=1e-10)
 
 
 def test_recover_detects_missing_observations(worked_spectrum, worked_bundle):
