@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dependence import (enumerate_uniqueness_sets, extension_matrix, greedy_minimal_vertex_set,
-                         greedy_scan, is_dependent, x_support)
+from .dependence import (enumerate_uniqueness_sets, greedy_minimal_vertex_set, greedy_scan,
+                         is_dependent)
 from .errors import InfeasibleProblemError, ProblemFormatError, ScaleLimitError
 from .numerics import INF, as_bandwidth, is_inf
 from .spectral import Spectrum
@@ -188,21 +188,18 @@ def tighten(spectrum: Spectrum, profile: BandwidthProfile) -> BandwidthProfile:
     minimal-rate basis in (B, index) order spans every such threshold set with
     its prefixes (Edmonds' greedy theorem on the dependence matroid), so its
     extension map answers every vertex with one solve: an outside vertex takes
-    the largest bound on the support of its extension row (0 for a zero row),
-    and basis vertices keep their bounds.
+    the bound of the basis's ``top_supported`` vertex on its extension row
+    (0 for a zero row), and basis vertices keep their bounds.
     """
     validate_profile(spectrum, profile)
     if not profile.all_vertex_finite():
         raise ProblemFormatError("tighten requires finite vertex bandwidths; finitize first")
-    lambda0 = profile.lambda0()
     bw = profile.vertex_bw
-    basis, _ = greedy_minimal_vertex_set(spectrum, lambda0, bw)
-    extension = extension_matrix(spectrum, lambda0, basis)
+    basis, _ = greedy_minimal_vertex_set(spectrum, profile.lambda0(), bw)
     tightened = list(bw)
     for v in basis.complement:
-        support = x_support(extension[v])
-        limit = max((bw[u] for u, hit in zip(basis.vertices, support) if hit), default=Fraction(0))
-        tightened[v] = min(bw[v], limit)
+        top = basis.top_supported(basis.extension[v], bw)
+        tightened[v] = min(bw[v], Fraction(0) if top is None else bw[top])
     return profile.with_vertex_bw(tightened)
 
 

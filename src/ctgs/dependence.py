@@ -13,11 +13,11 @@ search below exact. Every greedy search on the planning path is one ordered
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -73,25 +73,37 @@ def is_uniqueness_set(spectrum: Spectrum, lambda0: Sequence[int], vset: Sequence
     return is_invertible(spectrum.submatrix(lambda0, comp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniquenessSet:
-    """A vertex set that determines all snapshots, with cached complement data."""
+    """A vertex set that determines every snapshot whose transform vanishes
+    on ``lambda0``, with the map extending its values to the whole graph."""
 
+    spectrum: Spectrum = field(repr=False)
     vertices: tuple
     lambda0: tuple
-    complement: tuple
 
-    def __len__(self):
-        return len(self.vertices)
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
+        object.__setattr__(self, "lambda0", tuple(sorted(set(self.lambda0))))
 
+    @cached_property
+    def complement(self) -> tuple:
+        return tuple(_complement(self.spectrum.n, self.vertices))
 
-def make_uniqueness_set(spectrum: Spectrum, lambda0: Sequence[int], vertices: Sequence[int]) -> UniquenessSet:
-    vertices = tuple(sorted(set(vertices)))
-    lambda0 = tuple(sorted(set(lambda0)))
-    if not is_uniqueness_set(spectrum, lambda0, vertices):
-        raise ValueError(f"{vertices} is not a uniqueness set for frequencies {lambda0}")
-    return UniquenessSet(vertices=vertices, lambda0=lambda0,
-                         complement=tuple(_complement(spectrum.n, vertices)))
+    @cached_property
+    def extension(self) -> np.ndarray:
+        """The set's :func:`extension_matrix`, solved on first use."""
+        return extension_matrix(self.spectrum, self.lambda0, self.vertices)
+
+    def column(self, v: int) -> np.ndarray:
+        """How the value at member ``v`` extends to every vertex."""
+        return self.extension[:, self.vertices.index(v)]
+
+    def top_supported(self, x: np.ndarray, vertex_bw: Sequence) -> Optional[int]:
+        """The last member in (bandwidth, index) order where ``x``, a vector
+        over the members, has :func:`x_support`; None when it has none."""
+        hits = [v for v, hit in zip(self.vertices, x_support(x)) if hit]
+        return max(hits, key=lambda v: (vertex_bw[v], v), default=None)
 
 
 def enumerate_uniqueness_sets(spectrum: Spectrum, lambda0: Sequence[int]) -> list:
@@ -104,8 +116,7 @@ def enumerate_uniqueness_sets(spectrum: Spectrum, lambda0: Sequence[int]) -> lis
     out = []
     for vset in combinations(range(spectrum.n), size):
         if is_uniqueness_set(spectrum, lambda0, vset):
-            out.append(UniquenessSet(vertices=vset, lambda0=lambda0,
-                                     complement=tuple(_complement(spectrum.n, vset))))
+            out.append(UniquenessSet(spectrum, vset, lambda0))
     return out
 
 
@@ -116,12 +127,8 @@ def extension_matrix(spectrum: Spectrum, lambda0: Sequence[int], vset) -> np.nda
     prescribed V0 values and zero transform at every frequency in lambda0.
     Rows at V0 positions form the identity.
     """
-    if isinstance(vset, UniquenessSet):
-        vertices = list(vset.vertices)
-        lambda0 = list(vset.lambda0)
-    else:
-        vertices = sorted(set(vset))
-        lambda0 = sorted(set(lambda0))
+    vertices = sorted(set(vset))
+    lambda0 = sorted(set(lambda0))
     comp = _complement(spectrum.n, vertices)
     m = np.zeros((spectrum.n, len(vertices)))
     for col, v in enumerate(vertices):
@@ -194,9 +201,9 @@ def greedy_minimal_vertex_set(spectrum: Spectrum, lambda0: Sequence[int], vertex
     lambda0 = tuple(sorted(set(lambda0)))
     free = _complement(spectrum.n, lambda0)
     chosen = greedy_scan(spectrum.basis[free, :].T, _bandwidth_order(tuple(vertex_bw)))
-    if len(chosen) != len(free):
-        raise ValueError("greedy search failed to reach a basis; inconsistent spectrum")
-    v0 = make_uniqueness_set(spectrum, lambda0, chosen)
+    if len(chosen) != len(free) or not is_uniqueness_set(spectrum, lambda0, chosen):
+        raise ValueError("greedy search failed to reach a uniqueness set; inconsistent spectrum")
+    v0 = UniquenessSet(spectrum, chosen, lambda0)
     rate = 2 * sum((Fraction(vertex_bw[v]) for v in v0.vertices), Fraction(0))
     return v0, rate
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
 from typing import Optional, Sequence
@@ -21,11 +22,10 @@ import numpy as np
 from .bandwidth import BandwidthProfile, validate_profile
 from .dependence import (
     ENUMERATION_GUARD,
+    UniquenessSet,
     dependent_mask,
-    extension_matrix,
     greedy_minimal_vertex_set,
     is_uniqueness_set,
-    x_support,
     x_vector,
 )
 from .errors import InfeasibleProblemError, ProblemFormatError
@@ -51,11 +51,7 @@ class ReductionStep:
     level: int
     lambda_star: int
     b_star: Fraction
-    lambda0: tuple            # zero-bound frequencies at selection time
-    chosen_v0: tuple          # uniqueness set achieving the minimal quotient bound
-    extension: np.ndarray     # n x |chosen_v0|: extends chosen_v0 values under lambda0
-    x_vec: np.ndarray         # transform coefficients over chosen_v0
-    child_freq_bw: tuple
+    basis: UniquenessSet      # under the level's zero bounds; attains b_star
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ class Filtration:
 
 
 def quotient_bound(spectrum: Spectrum, profile: BandwidthProfile, lambda_star: int):
-    """Quotient bound exposed by peeling ``lambda_star``: (b, basis, extension).
+    """Quotient bound exposed by peeling ``lambda_star``: (b, basis).
 
     The bound is the minimum over all uniqueness sets of the largest vertex
     bound that actually contributes to the peeled transform, capped by the
@@ -101,24 +97,21 @@ def quotient_bound(spectrum: Spectrum, profile: BandwidthProfile, lambda_star: i
     its prefixes span every threshold set {v : B_v <= b}, so its x-vector is
     supported on the smallest threshold set whose span reaches the peeled
     transform (Edmonds' greedy theorem on the dependence matroid). The
-    extension map over the basis is the level's one solve; its x-vector is
-    ``row(lambda_star) @ extension``.
+    basis's extension map is the level's one solve; its x-vector is
+    ``row(lambda_star) @ basis.extension``.
     """
-    lambda0 = profile.lambda0()
-    basis, _ = greedy_minimal_vertex_set(spectrum, lambda0, profile.vertex_bw)
-    extension = extension_matrix(spectrum, lambda0, basis)
-    support = x_support(spectrum.row(lambda_star) @ extension)
-    if not support.any():
+    basis, _ = greedy_minimal_vertex_set(spectrum, profile.lambda0(), profile.vertex_bw)
+    top = basis.top_supported(spectrum.row(lambda_star) @ basis.extension, profile.vertex_bw)
+    if top is None:
         raise AssertionError("transform vector vanished entirely; numerical breakdown")
-    bound = max(Fraction(profile.vertex_bw[v]) for v, hit in zip(basis.vertices, support) if hit)
-    return min(bound, Fraction(profile.freq_bw[lambda_star])), basis, extension
+    return min(Fraction(profile.vertex_bw[top]), Fraction(profile.freq_bw[lambda_star])), basis
 
 
 def reduction_step(spectrum: Spectrum, profile: BandwidthProfile, level: int = 0) -> ReductionStep:
     """Peel the smallest positive finite frequency bound from ``profile``.
 
-    ``chosen_v0`` is the greedy minimal-rate basis that attains the
-    quotient bound (see :func:`quotient_bound`).
+    ``basis`` is the greedy minimal-rate basis that attains the quotient
+    bound (see :func:`quotient_bound`).
     """
     validate_profile(spectrum, profile)
     if not profile.all_vertex_finite():
@@ -126,11 +119,8 @@ def reduction_step(spectrum: Spectrum, profile: BandwidthProfile, level: int = 0
     lam = select_lambda_star(profile.freq_bw)
     if lam is None:
         raise InfeasibleProblemError("frequency bandwidths are already simple; nothing to reduce")
-    b_star, chosen, extension = quotient_bound(spectrum, profile, lam)
-    child = profile.with_freq_zeroed(lam)
-    return ReductionStep(level=level, lambda_star=lam, b_star=b_star, lambda0=profile.lambda0(),
-                         chosen_v0=chosen.vertices, extension=extension,
-                         x_vec=spectrum.row(lam) @ extension, child_freq_bw=child.freq_bw)
+    b_star, basis = quotient_bound(spectrum, profile, lam)
+    return ReductionStep(level=level, lambda_star=lam, b_star=b_star, basis=basis)
 
 
 def build_filtration(spectrum: Spectrum, profile: BandwidthProfile) -> Filtration:
@@ -145,8 +135,8 @@ def build_filtration(spectrum: Spectrum, profile: BandwidthProfile) -> Filtratio
     for level in range(k, 0, -1):
         step = reduction_step(spectrum, current, level=level)
         steps.append(step)
-        current = BandwidthProfile(profile.vertex_bw, step.child_freq_bw)
-        level_maps.append(step.child_freq_bw)
+        current = current.with_freq_zeroed(step.lambda_star)
+        level_maps.append(current.freq_bw)
     if not current.is_simple():
         raise AssertionError("reduction did not terminate at simple frequency bounds")
     level_maps.reverse()  # index 0..k
@@ -253,7 +243,7 @@ def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
     """
     v0, base_rate = greedy_minimal_vertex_set(spectrum, filtration.levels[0].lambda0,
                                               profile.vertex_bw)
-    v_sets = (v0.vertices,) + tuple(filtration.step_at(i).chosen_v0
+    v_sets = (v0.vertices,) + tuple(filtration.step_at(i).basis.vertices
                                     for i in range(1, filtration.depth + 1))
     # no single new vertex only when the chain breaks, which the verifier names
     added = tuple(min(set(cur) - set(prev), default=None)
@@ -271,9 +261,9 @@ def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
 
 @dataclass(frozen=True, eq=False)
 class LevelSpec:
-    """A quotient level of a plan: its filtration step, whose extension map
-    says how the recovered scalar reaches the rest of the graph, and the
-    vertex ``vertex`` that carries it."""
+    """A quotient level of a plan: its filtration step, whose basis's
+    extension map says how the recovered scalar reaches the rest of the
+    graph, and the vertex ``vertex`` that carries it."""
 
     step: ReductionStep
     vertex: int
@@ -308,14 +298,24 @@ class SamplingPlan:
     """Vertex grids plus the staged recovery schedule they support."""
 
     vertex_bw: tuple
-    base_vertices: tuple
-    base_lambda0: tuple
-    base_extension: np.ndarray
+    base: UniquenessSet       # the level-0 uniqueness set
     levels: tuple             # LevelSpec, ascending
     grids: tuple              # Grid
     base_stages: tuple        # (target_vertex, (grid_id, ...)) in solve order
-    stages: tuple = field(default=())
     notes: tuple = field(default=())
+
+    @property
+    def base_vertices(self) -> tuple:
+        return self.base.vertices
+
+    @property
+    def base_lambda0(self) -> tuple:
+        return self.base.lambda0
+
+    @cached_property
+    def stages(self) -> tuple:
+        """The recovery schedule of these grids, see :func:`_compute_stages`."""
+        return _compute_stages(self)
 
     @property
     def n(self) -> int:
@@ -334,9 +334,6 @@ class SamplingPlan:
         """Unknown blocks in plan order: base vertices, then levels ascending."""
         return (tuple(("base", w) for w in self.base_vertices)
                 + tuple(("level", spec.step.level) for spec in self.levels))
-
-    def base_col(self, vertex: int) -> int:
-        return self.base_vertices.index(vertex)
 
     def level_spec(self, level: int) -> LevelSpec:
         return self.levels[level - 1]
@@ -357,9 +354,9 @@ class SamplingPlan:
         """How an unknown block's scalar content extends to every vertex."""
         kind, key = unknown
         if kind == "base":
-            return self.base_extension[:, self.base_col(key)]
+            return self.base.column(key)
         spec = self.level_spec(key)
-        return spec.step.extension[:, spec.step.chosen_v0.index(spec.vertex)]
+        return spec.step.basis.column(spec.vertex)
 
     def visibility(self, unknown, vertex: int) -> float:
         """Scale with which an unknown block's content shows up at a vertex."""
@@ -404,19 +401,15 @@ def _compute_stages(plan: SamplingPlan) -> tuple:
     return tuple(stages)
 
 
-def _with_stages(plan: SamplingPlan) -> SamplingPlan:
-    return replace(plan, stages=_compute_stages(plan))
-
-
 def base_plan(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence,
               v0: Sequence[int]) -> SamplingPlan:
-    """The unstaged base level of a plan on the uniqueness set ``v0``: one
-    rate-2B grid per base vertex in ascending (B, index) order (a zero-rate
-    vertex gets an empty stage) and the base extension map, its one solve."""
-    v0 = tuple(sorted(set(v0)))
+    """The base level of a plan on the uniqueness set ``v0``: one rate-2B
+    grid per base vertex in ascending (B, index) order (a zero-rate vertex
+    gets an empty stage)."""
+    base = UniquenessSet(spectrum, v0, lambda0)
     grids = []
     base_stages = []
-    for w in sorted(v0, key=lambda v: (vertex_bw[v], v)):
+    for w in sorted(base.vertices, key=lambda v: (vertex_bw[v], v)):
         rate = 2 * Fraction(vertex_bw[w])
         if rate == 0:
             base_stages.append((w, ()))
@@ -424,10 +417,8 @@ def base_plan(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence,
         gid = f"base:{w}"
         grids.append(Grid(grid_id=gid, vertex=w, rate=rate, phase=Fraction(0)))
         base_stages.append((w, (gid,)))
-    return SamplingPlan(vertex_bw=tuple(vertex_bw), base_vertices=v0,
-                        base_lambda0=tuple(lambda0),
-                        base_extension=extension_matrix(spectrum, lambda0, v0),
-                        levels=(), grids=tuple(grids), base_stages=tuple(base_stages))
+    return SamplingPlan(vertex_bw=tuple(vertex_bw), base=base, levels=(),
+                        grids=tuple(grids), base_stages=tuple(base_stages))
 
 
 def make_plan(spectrum: Spectrum, profile: BandwidthProfile,
@@ -446,7 +437,7 @@ def make_plan(spectrum: Spectrum, profile: BandwidthProfile,
     expected = seq.base_rate + sum(seq.quotient_rates, Fraction(0))
     if plan.total_rate != expected:
         raise AssertionError("plan rate disagrees with the sequence rates")
-    return _with_stages(plan)
+    return plan
 
 
 def plan_problem(spectrum: Spectrum, profile: BandwidthProfile):
@@ -540,7 +531,7 @@ def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) 
         notes=plan.notes + (f"split level {level}: rate {donated_rate} moved to vertex {donor}",))
     if moved.total_rate != plan.total_rate:
         raise AssertionError("split changed the total rate")
-    return _certified(_with_stages(moved), "split")
+    return _certified(moved, "split")
 
 
 def _certified(plan: SamplingPlan, action: str) -> SamplingPlan:
@@ -590,22 +581,19 @@ def _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
     """Partition a validated ``v_star`` into carrier groups, one per sorted
     base vertex.
 
-    A spread vertex joins the group of the last base vertex, in (B, index)
-    order, where its row of the base extension map has support (the
-    ``x_support`` rule of :func:`quotient_bound`): the vertex depends on a
-    base prefix exactly when its row vanishes past it. A zero row joins the
-    first group; the base vertex itself anchors its group. One solve
-    decides every spread vertex.
+    A spread vertex joins the group of the ``top_supported`` base vertex of
+    its base extension row: it depends on a base prefix in (B, index) order
+    exactly when its row vanishes past it. A zero row joins the first group;
+    the base vertex itself anchors its group. One solve decides them all.
     """
+    base = UniquenessSet(spectrum, v0, lambda0)
     ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
-    columns = sorted(set(v0))
-    extension = extension_matrix(spectrum, lambda0, v0)[:, [columns.index(w) for w in ordered]]
-    groups = [[w] for w in ordered]
+    groups = {w: [w] for w in ordered}
     for u in v_star:
         if u not in v0:
-            support = np.flatnonzero(x_support(extension[u]))
-            groups[support[-1] if support.size else 0].append(u)
-    return [(w, tuple(sorted(g))) for w, g in zip(ordered, groups)]
+            top = base.top_supported(base.extension[u], vertex_bw)
+            groups[ordered[0] if top is None else top].append(u)
+    return [(w, tuple(sorted(g))) for w, g in groups.items()]
 
 
 # Both spread constructions take a validated spread set: (sorted v0, sorted
@@ -766,7 +754,7 @@ def _spread_plan(plan: SamplingPlan, spread, v_star: Sequence[int]) -> SamplingP
         notes=plan.notes + (f"base load spread over {tuple(sorted(set(v_star)))}",))
     if candidate.total_rate != plan.total_rate:
         raise AssertionError("redistribution changed the total rate")
-    return _with_stages(candidate)
+    return candidate
 
 
 def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum,

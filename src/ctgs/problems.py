@@ -95,7 +95,8 @@ def parse_problem(text: str) -> Problem:
     """Parse and fully validate a problem document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level of arrays and objects
         raise ProblemFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem document must be a JSON object")

@@ -137,7 +137,7 @@ def quotient_bound_bruteforce(spectrum, profile, lambda_star):
     lam0 = profile.lambda0()
     best = None
     for cand in ctgs.enumerate_uniqueness_sets(spectrum, lam0):
-        support = x_support(ctgs.x_vector(spectrum, lam0, cand, lambda_star))
+        support = x_support(ctgs.x_vector(spectrum, lam0, cand.vertices, lambda_star))
         bound = max(Fraction(profile.vertex_bw[v])
                     for v, hit in zip(cand.vertices, support) if hit)
         if best is None or bound < best:
@@ -288,9 +288,9 @@ def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period
     contributing vertex of the optimal uniqueness set, zero elsewhere on it.
     """
     period = Fraction(period)
-    support = x_support(step.x_vec)
+    support = x_support(spectrum.row(step.lambda_star) @ step.basis.extension)
     cutoff = harmonic_cutoff(step.b_star, period)
-    candidates = [v for v, hit in zip(step.chosen_v0, support) if hit
+    candidates = [v for v, hit in zip(step.basis.vertices, support) if hit
                   and profile.vertex_bw[v] >= step.b_star]
     if not candidates:
         raise AssertionError("no witness vertex; quotient bound computation inconsistent")
@@ -298,7 +298,7 @@ def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period
     coeffs = np.zeros(n_trig_coeffs(cutoff))
     if cutoff >= 0:
         coeffs[0 if cutoff == 0 else 2 * cutoff - 1] = 1.0
-    full = np.outer(step.extension[:, step.chosen_v0.index(vstar)], coeffs)
+    full = np.outer(step.basis.column(vstar), coeffs)
     return PeriodicSignal(period, full)
 
 
@@ -620,8 +620,7 @@ def recover_dense(observation, plan, sample_set):
 def unchecked_split(plan, donor, acceptor, amount):
     """``split_rate_transform``'s plan without its recoverability check: the
     oracle grids of ``split_grids_loop``, restaged."""
-    return ctgs.planner._with_stages(
-        replace(plan, grids=split_grids_loop(plan, donor, acceptor, amount)))
+    return replace(plan, grids=split_grids_loop(plan, donor, acceptor, amount))
 
 
 def redistribute_placement_only(spectrum, lambda0, vertex_bw, v0, v_star, sample_set):

@@ -480,6 +480,20 @@ def test_oversize_n_exits_validation_before_building_the_graph(tmp_path, capsys,
     assert payload["pointer"] == "/B"
 
 
+@pytest.mark.parametrize("command", ["analyze", "plan", "simulate", "redistribute"])
+def test_deeply_nested_document_exits_validation(tmp_path, capsys, command):
+    # 10 KB of brackets nest deeper than the JSON decoder can recurse
+    path = tmp_path / "nested.json"
+    path.write_text('{"n": 1, "edges": [], "B": [1], "C": [1], "options": {"x": '
+                    + "[" * 5000 + "]" * 5000 + "}}")
+    flags = ["--vstar", "0"] if command == "redistribute" else []
+    code, out, err = _run(capsys, [command, "--input", str(path), *flags])
+    assert (code, out) == (2, "")
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation"
+    assert payload["message"].startswith("invalid JSON")
+
+
 def test_output_directory_artifacts(worked_problem_file, tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code, _, _ = _run(capsys, ["simulate", "--input", worked_problem_file,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import ctgs
 from ctgs.numerics import INF, least_period
+from ctgs.spectral import Spectrum
 
 from helpers import (
     backtrack_sequence_loop,
@@ -55,17 +57,16 @@ def test_select_lambda_star_tie_breaks_by_index():
 def test_reduction_first_step(worked_spectrum, worked_profile):
     step = ctgs.reduction_step(worked_spectrum, worked_profile, level=3)
     assert step.lambda_star == 1
-    assert step.lambda0 == ()
-    assert step.chosen_v0 == tuple(range(5))
+    assert step.basis.lambda0 == ()
+    assert step.basis.vertices == tuple(range(5))
     assert step.b_star == 2
-    assert step.child_freq_bw[1] == 0
 
 
 def test_reduction_second_step(worked_spectrum, worked_profile):
     current = worked_profile.with_freq_zeroed(1)
     step = ctgs.reduction_step(worked_spectrum, current, level=2)
     assert step.lambda_star == 2
-    assert step.lambda0 == (1,)
+    assert step.basis.lambda0 == (1,)
     assert step.b_star == 5
 
 
@@ -73,13 +74,14 @@ def test_reduction_third_step(worked_spectrum, worked_profile):
     current = worked_profile.with_freq_zeroed(1).with_freq_zeroed(2)
     step = ctgs.reduction_step(worked_spectrum, current, level=1)
     assert step.lambda_star == 0
-    assert step.lambda0 == (1, 2)
+    assert step.basis.lambda0 == (1, 2)
     # the transform vector vanishes at one vertex of the best sets, so the
     # bound drops to 4 there; a larger pinned value would contradict the
     # admissibility conditions (the level-1 carrier has bandwidth 4)
     assert step.b_star == 4
-    assert step.chosen_v0 in ((1, 2, 4), (2, 3, 4))
-    support = [v for v, x in zip(step.chosen_v0, step.x_vec) if abs(x) > 1e-8]
+    assert step.basis.vertices in ((1, 2, 4), (2, 3, 4))
+    x_vec = worked_spectrum.row(0) @ step.basis.extension
+    support = [v for v, x in zip(step.basis.vertices, x_vec) if abs(x) > 1e-8]
     bw = worked_profile.vertex_bw
     assert max(bw[v] for v in support) == 4
 
@@ -99,7 +101,7 @@ def test_quotient_bound_matches_bruteforce_oracle():
         while (lam := ctgs.select_lambda_star(current.freq_bw)) is not None:
             step = ctgs.reduction_step(spectrum, current)
             assert step.b_star == quotient_bound_bruteforce(spectrum, current, lam)
-            assert ctgs.is_uniqueness_set(spectrum, step.lambda0, step.chosen_v0)
+            assert ctgs.is_uniqueness_set(spectrum, step.basis.lambda0, step.basis.vertices)
             current = current.with_freq_zeroed(lam)
         checked += 1
 
@@ -356,6 +358,42 @@ def test_relabelling_vertices_changes_nothing():
     assert checked > 150
 
 
+def _family_graph(kind, n):
+    if kind == "cycle":
+        return ctgs.GraphModel.create(n, [[v, (v + 1) % n] for v in range(n)])
+    if kind == "star":
+        return ctgs.GraphModel.create(n, [[0, v] for v in range(1, n)])
+    return ctgs.GraphModel.create(n, [[u, v] for u in range(n) for v in range(u + 1, n)])
+
+
+def test_rotating_repeated_eigenspaces_changes_nothing():
+    """Cycles, stars and complete graphs have repeated eigenvalues. With C
+    constant on each multiplicity group the space depends on the eigenspaces
+    only, so rotating each group's rows by a random orthogonal matrix keeps
+    the rate, the counting density and the quotient bandwidths as a
+    multiset. Their order by level may move with the basis."""
+    rng = np.random.default_rng(29)
+    for trial in range(120):
+        n = int(rng.integers(4, 9))
+        graph = _family_graph(("cycle", "star", "complete")[trial % 3], n)
+        spectrum = ctgs.eigendecompose(ctgs.build_shift_operator(graph, "laplacian"))
+        draw = random_profile(rng, n)
+        groups = spectrum.multiplicity_groups
+        profile = ctgs.BandwidthProfile.create(
+            draw.vertex_bw, [draw.freq_bw[group[0]] for group in groups for _ in group])
+        rotated = spectrum.basis.copy()
+        for group in groups:
+            q, _ = np.linalg.qr(rng.standard_normal((len(group), len(group))))
+            rotated[list(group)] = q @ spectrum.basis[list(group)]
+        turned = Spectrum(spectrum.eigenvalues, rotated, groups)
+        _, finite, filtration, _, plan = ctgs.plan_problem(spectrum, profile)
+        _, turned_finite, turned_filtration, _, turned_plan = ctgs.plan_problem(turned, profile)
+        assert turned_plan.total_rate == plan.total_rate
+        assert counting_density(turned, turned_finite) == counting_density(spectrum, finite)
+        assert sorted(turned_filtration.quotient_bandwidths) \
+            == sorted(filtration.quotient_bandwidths)
+
+
 def test_total_rate_equals_counting_density_n200():
     spectrum, profile = plannable_at(200, 200)
     _, finite, _, _, plan = ctgs.plan_problem(spectrum, profile)
@@ -437,6 +475,16 @@ def test_stage_visibility_invariant(worked_bundle):
 
 
 # --- split transform --------------------------------------------------------
+
+def test_stages_follow_the_grids(worked_bundle):
+    """A plan's stages derive from its grids: keeping only the base grids
+    leaves no stage naming a level grid the plan no longer holds."""
+    plan = worked_bundle[-1]
+    base = replace(plan, grids=tuple(g for g in plan.grids if g.grid_id.startswith("base")))
+    held = {g.grid_id for g in base.grids}
+    assert {gid for stage in base.stages for gid in stage.grid_ids} == held
+    assert base.stages == compute_stages_loop(base)
+
 
 def test_split_amount_zero_is_identity(worked_bundle):
     _, _, _, _, plan = worked_bundle
