@@ -29,7 +29,7 @@ def main():
     print("\nfiltration (top level first):")
     for step in filtration.steps:
         print(f"  peel lambda{step.lambda_star + 1}: quotient bandwidth {step.b_star}, "
-              f"optimal set {[labels[v] for v in step.basis.vertices]}")
+              f"optimal set {[labels[v] for v in step.vertices]}")
     print("terminal frequency bounds:", filtration.levels[0].freq_bw)
 
     print("\nadmissible sequence:")

@@ -38,7 +38,6 @@ from .planner import (
     make_plan,
     plan_problem,
     redistribute_plan,
-    reduction_step,
     select_lambda_star,
     split_rate_transform,
     verify_admissible_sequence,

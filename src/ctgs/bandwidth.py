@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .dependence import (enumerate_uniqueness_sets, greedy_minimal_vertex_set, greedy_scan,
-                         is_dependent)
+                         is_dependent, top_supported)
 from .errors import InfeasibleProblemError, ProblemFormatError, ScaleLimitError
 from .numerics import INF, as_bandwidth, is_inf
 from .spectral import Spectrum
@@ -43,10 +43,6 @@ class BandwidthProfile:
 
     def all_vertex_finite(self) -> bool:
         return all(not is_inf(b) for b in self.vertex_bw)
-
-    def is_simple(self) -> bool:
-        """True when every frequency bound is 0 or infinity."""
-        return all(c == 0 or is_inf(c) for c in self.freq_bw)
 
     def with_freq_zeroed(self, frequency: int) -> "BandwidthProfile":
         freq = list(self.freq_bw)
@@ -198,7 +194,7 @@ def tighten(spectrum: Spectrum, profile: BandwidthProfile) -> BandwidthProfile:
     basis, _ = greedy_minimal_vertex_set(spectrum, profile.lambda0(), bw)
     tightened = list(bw)
     for v in basis.complement:
-        top = basis.top_supported(basis.extension[v], bw)
+        top = top_supported(basis.vertices, basis.extension[v], bw)
         tightened[v] = min(bw[v], Fraction(0) if top is None else bw[top])
     return profile.with_vertex_bw(tightened)
 

@@ -99,11 +99,13 @@ class UniquenessSet:
         """How the value at member ``v`` extends to every vertex."""
         return self.extension[:, self.vertices.index(v)]
 
-    def top_supported(self, x: np.ndarray, vertex_bw: Sequence) -> Optional[int]:
-        """The last member in (bandwidth, index) order where ``x``, a vector
-        over the members, has :func:`x_support`; None when it has none."""
-        hits = [v for v, hit in zip(self.vertices, x_support(x)) if hit]
-        return max(hits, key=lambda v: (vertex_bw[v], v), default=None)
+
+def top_supported(vertices: Sequence[int], x: np.ndarray, vertex_bw: Sequence) -> Optional[int]:
+    """The last of ``vertices`` in (bandwidth, index) order where ``x``, a
+    vector over them in the same order, has :func:`x_support`; None when it
+    has none."""
+    hits = [v for v, hit in zip(vertices, x_support(x)) if hit]
+    return max(hits, key=lambda v: (vertex_bw[v], v), default=None)
 
 
 def enumerate_uniqueness_sets(spectrum: Spectrum, lambda0: Sequence[int]) -> list:

@@ -23,9 +23,11 @@ from .bandwidth import BandwidthProfile, validate_profile
 from .dependence import (
     ENUMERATION_GUARD,
     UniquenessSet,
+    _bandwidth_order,
     dependent_mask,
     greedy_minimal_vertex_set,
     is_uniqueness_set,
+    top_supported,
     x_vector,
 )
 from .errors import InfeasibleProblemError, ProblemFormatError
@@ -46,12 +48,16 @@ def select_lambda_star(freq_bw: Sequence) -> Optional[int]:
 
 @dataclass(frozen=True, eq=False)
 class ReductionStep:
-    """One peeling step, linking level ``level`` to ``level - 1``."""
+    """One peeling step, linking level ``level`` to ``level - 1``: the greedy
+    basis G_i = G_{i-1} + ``carrier`` of the level's zero bounds, and the
+    carrier's column of the basis's extension map."""
 
     level: int
     lambda_star: int
     b_star: Fraction
-    basis: UniquenessSet      # under the level's zero bounds; attains b_star
+    vertices: tuple           # G_i, sorted
+    carrier: int              # v_i, the one vertex of G_i - G_{i-1}
+    column: np.ndarray        # how the value at v_i extends to every vertex
 
 
 @dataclass(frozen=True)
@@ -88,63 +94,56 @@ class Filtration:
         return tuple(step.lambda_star for step in self.steps)
 
 
-def quotient_bound(spectrum: Spectrum, profile: BandwidthProfile, lambda_star: int):
-    """Quotient bound exposed by peeling ``lambda_star``: (b, basis).
-
-    The bound is the minimum over all uniqueness sets of the largest vertex
-    bound that actually contributes to the peeled transform, capped by the
-    peeled frequency's own bound. The greedy minimal-rate basis attains it:
-    its prefixes span every threshold set {v : B_v <= b}, so its x-vector is
-    supported on the smallest threshold set whose span reaches the peeled
-    transform (Edmonds' greedy theorem on the dependence matroid). The
-    basis's extension map is the level's one solve; its x-vector is
-    ``row(lambda_star) @ basis.extension``.
-    """
-    basis, _ = greedy_minimal_vertex_set(spectrum, profile.lambda0(), profile.vertex_bw)
-    top = basis.top_supported(spectrum.row(lambda_star) @ basis.extension, profile.vertex_bw)
-    if top is None:
-        raise AssertionError("transform vector vanished entirely; numerical breakdown")
-    return min(Fraction(profile.vertex_bw[top]), Fraction(profile.freq_bw[lambda_star])), basis
-
-
-def reduction_step(spectrum: Spectrum, profile: BandwidthProfile, level: int = 0) -> ReductionStep:
-    """Peel the smallest positive finite frequency bound from ``profile``.
-
-    ``basis`` is the greedy minimal-rate basis that attains the quotient
-    bound (see :func:`quotient_bound`).
-    """
-    validate_profile(spectrum, profile)
-    if not profile.all_vertex_finite():
-        raise ProblemFormatError("reduction requires finite vertex bandwidths; finitize first")
-    lam = select_lambda_star(profile.freq_bw)
-    if lam is None:
-        raise InfeasibleProblemError("frequency bandwidths are already simple; nothing to reduce")
-    b_star, basis = quotient_bound(spectrum, profile, lam)
-    return ReductionStep(level=level, lambda_star=lam, b_star=b_star, basis=basis)
-
-
 def build_filtration(spectrum: Spectrum, profile: BandwidthProfile) -> Filtration:
-    """Iterate the reduction until the frequency bounds are simple."""
+    """Peel the frequency bounds down to simple ones and grow the levels'
+    greedy bases bottom-up.
+
+    The peel order reads only C. Level 0's greedy minimal-rate basis G_0
+    and its extension map M_0 are computed once; each level above adds its
+    carrier v_i (the bases nest, see :func:`find_admissible_sequence`).
+    With phi the eigenrow freed at level i, r = phi - M_{i-1} phi[G_{i-1}]
+    vanishes exactly on the closure of G_{i-1}: v_i is the first vertex in
+    (B, index) order with |r_v| > ``COMPONENT_TOL`` * max(1, max |r|), and
+    M_i = [M_{i-1} - (r / r_v) M_{i-1}[v_i, :] | r / r_v]. The quotient
+    bound b_i, the least over all uniqueness sets (Edmonds' greedy theorem),
+    is the bound of the ``top_supported`` vertex of phi M_i, capped by C at
+    the peeled frequency.
+    """
     validate_profile(spectrum, profile)
     if not profile.all_vertex_finite():
         raise ProblemFormatError("filtration requires finite vertex bandwidths; finitize first")
-    k = sum(1 for c in profile.freq_bw if c != 0 and not is_inf(c))
-    steps = []
+    peeled = []               # top level first
     level_maps = [profile.freq_bw]
     current = profile
-    for level in range(k, 0, -1):
-        step = reduction_step(spectrum, current, level=level)
-        steps.append(step)
-        current = current.with_freq_zeroed(step.lambda_star)
+    while (lam := select_lambda_star(current.freq_bw)) is not None:
+        peeled.append(lam)
+        current = current.with_freq_zeroed(lam)
         level_maps.append(current.freq_bw)
-    if not current.is_simple():
-        raise AssertionError("reduction did not terminate at simple frequency bounds")
-    level_maps.reverse()  # index 0..k
     levels = tuple(
         FiltrationLevel(freq_bw=fb, lambda0=tuple(i for i, c in enumerate(fb) if c == 0))
-        for fb in level_maps
+        for fb in reversed(level_maps)
     )
-    return Filtration(levels=levels, steps=tuple(steps))
+    bw = profile.vertex_bw
+    order = _bandwidth_order(tuple(bw))
+    basis, _ = greedy_minimal_vertex_set(spectrum, levels[0].lambda0, bw)
+    vertices = list(basis.vertices)   # the columns of ``extension``, in order
+    extension = basis.extension
+    steps = []
+    for level, lam in enumerate(reversed(peeled), start=1):
+        phi = spectrum.row(lam)
+        r = phi - extension @ phi[vertices]
+        tol = COMPONENT_TOL * max(1.0, float(np.max(np.abs(r))))
+        carrier = next(u for u in order if abs(r[u]) > tol)
+        column = r / r[carrier]
+        extension = np.hstack([extension - np.outer(column, extension[carrier]),
+                               column[:, None]])
+        vertices.append(carrier)
+        top = top_supported(vertices, phi @ extension, bw)
+        steps.append(ReductionStep(
+            level=level, lambda_star=lam,
+            b_star=min(Fraction(bw[top]), Fraction(profile.freq_bw[lam])),
+            vertices=tuple(sorted(vertices)), carrier=carrier, column=column))
+    return Filtration(levels=levels, steps=tuple(reversed(steps)))
 
 
 @dataclass(frozen=True)
@@ -222,20 +221,20 @@ def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
                              filtration: Filtration) -> AdmissibleSequence:
     """The admissible sequence is the filtration's chain of greedy bases.
 
-    V_0 is the level-0 greedy minimal-rate basis, V_i the basis
-    ``quotient_bound`` chose at level i, and v_i the one vertex of
-    V_i - V_{i-1}. The chain is always admissible:
+    V_0 is the level-0 greedy minimal-rate basis, V_i the basis that
+    :func:`build_filtration` grew at level i, and v_i its carrier. The chain
+    is always admissible:
 
-    * Setup. M_i is level i's dependence matroid and phi the transform
-      peeled at level i, so M_{i-1} = (M_i + phi) / phi. G_j is the greedy
-      basis of M_j in ascending (B, index) order.
-    * The bases nest. G_{i-1} + phi is the greedy basis of M_i + phi with
+    * Setup. D_i is level i's dependence matroid and phi the transform
+      peeled at level i, so D_{i-1} = (D_i + phi) / phi. G_j is the greedy
+      basis of D_j in ascending (B, index) order.
+    * The bases nest. G_{i-1} + phi is the greedy basis of D_i + phi with
       phi scanned first; moving phi to the end changes one element, so
       G_i = G_{i-1} + v_i with v_i the first vertex outside cl_i(G_{i-1}).
     * Admissibility needs T = {w : B_w < b_i}, a prefix of the order, inside
       cl_i(G_{i-1}). b_i is the least threshold whose set spans phi (the C
       cap only lowers it), so phi is not in cl(T) and r_{i-1}(T) = r_i(T);
-      G_{i-1} & T, a basis of T in M_{i-1} independent in M_i, spans T in M_i.
+      G_{i-1} & T, a basis of T in D_{i-1} independent in D_i, spans T in D_i.
     * The rest follows: v_i's peeled coefficient is nonzero and B_{v_i} >= b_i.
 
     The independent verifier re-checks the chain; a failure can only be a
@@ -243,12 +242,9 @@ def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
     """
     v0, base_rate = greedy_minimal_vertex_set(spectrum, filtration.levels[0].lambda0,
                                               profile.vertex_bw)
-    v_sets = (v0.vertices,) + tuple(filtration.step_at(i).basis.vertices
-                                    for i in range(1, filtration.depth + 1))
-    # no single new vertex only when the chain breaks, which the verifier names
-    added = tuple(min(set(cur) - set(prev), default=None)
-                  for prev, cur in zip(v_sets, v_sets[1:]))
-    seq = AdmissibleSequence(v_sets=v_sets, added=added, base_rate=base_rate,
+    steps = [filtration.step_at(i) for i in range(1, filtration.depth + 1)]
+    seq = AdmissibleSequence(v_sets=(v0.vertices,) + tuple(step.vertices for step in steps),
+                             added=tuple(step.carrier for step in steps), base_rate=base_rate,
                              quotient_rates=tuple(2 * b for b in filtration.quotient_bandwidths))
     failures = verify_admissible_sequence(spectrum, profile, filtration, seq)
     if failures:
@@ -258,16 +254,6 @@ def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
 
 
 # --- sampling plans -------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class LevelSpec:
-    """A quotient level of a plan: its filtration step, whose basis's
-    extension map says how the recovered scalar reaches the rest of the
-    graph, and the vertex ``vertex`` that carries it."""
-
-    step: ReductionStep
-    vertex: int
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -299,7 +285,7 @@ class SamplingPlan:
 
     vertex_bw: tuple
     base: UniquenessSet       # the level-0 uniqueness set
-    levels: tuple             # LevelSpec, ascending
+    levels: tuple             # ReductionStep, ascending
     grids: tuple              # Grid
     base_stages: tuple        # (target_vertex, (grid_id, ...)) in solve order
     notes: tuple = field(default=())
@@ -333,10 +319,7 @@ class SamplingPlan:
     def unknowns(self) -> tuple:
         """Unknown blocks in plan order: base vertices, then levels ascending."""
         return (tuple(("base", w) for w in self.base_vertices)
-                + tuple(("level", spec.step.level) for spec in self.levels))
-
-    def level_spec(self, level: int) -> LevelSpec:
-        return self.levels[level - 1]
+                + tuple(("level", step.level) for step in self.levels))
 
     def grid(self, grid_id: str) -> Grid:
         for g in self.grids:
@@ -348,15 +331,14 @@ class SamplingPlan:
         kind, key = unknown
         if kind == "base":
             return Fraction(self.vertex_bw[key])
-        return self.level_spec(key).step.b_star
+        return self.levels[key - 1].b_star
 
     def extension_column(self, unknown) -> np.ndarray:
         """How an unknown block's scalar content extends to every vertex."""
         kind, key = unknown
         if kind == "base":
             return self.base.column(key)
-        spec = self.level_spec(key)
-        return spec.step.basis.column(spec.vertex)
+        return self.levels[key - 1].column
 
     def visibility(self, unknown, vertex: int) -> float:
         """Scale with which an unknown block's content shows up at a vertex."""
@@ -381,9 +363,9 @@ def _compute_stages(plan: SamplingPlan) -> tuple:
         if g.grid_id.startswith("level:"):
             level = int(g.grid_id.split(":")[1])
             level_grid_ids.setdefault(level, []).append(g.grid_id)
-    for spec in plan.levels:
-        stages.append(Stage(unknowns=(("level", spec.step.level),),
-                            grid_ids=tuple(level_grid_ids.get(spec.step.level, ()))))
+    for step in plan.levels:
+        stages.append(Stage(unknowns=(("level", step.level),),
+                            grid_ids=tuple(level_grid_ids.get(step.level, ()))))
 
     vertex_of = {g.grid_id: g.vertex for g in plan.grids}
     idx = 0
@@ -423,17 +405,20 @@ def base_plan(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence,
 
 def make_plan(spectrum: Spectrum, profile: BandwidthProfile,
               filtration: Filtration, seq: AdmissibleSequence) -> SamplingPlan:
-    """Assemble grids and the recovery schedule from an admissible sequence."""
+    """Assemble grids and the recovery schedule from an admissible sequence,
+    which must be the filtration's chain: each level's grid sits on the
+    carrier whose extension column the plan reads."""
+    levels = tuple(filtration.step_at(i) for i in range(1, filtration.depth + 1))
+    if seq.added != tuple(step.carrier for step in levels):
+        raise AssertionError("sequence vertices are not the filtration's carriers")
     base = base_plan(spectrum, filtration.levels[0].lambda0, profile.vertex_bw, seq.v_sets[0])
-    levels = []
     grids = list(base.grids)
-    for i in range(1, filtration.depth + 1):
-        step, vi = filtration.step_at(i), seq.added[i - 1]
-        levels.append(LevelSpec(step=step, vertex=vi))
+    for step in levels:
         rate = 2 * step.b_star
         if rate > 0:
-            grids.append(Grid(grid_id=f"level:{i}", vertex=vi, rate=rate, phase=Fraction(0)))
-    plan = replace(base, levels=tuple(levels), grids=tuple(grids))
+            grids.append(Grid(grid_id=f"level:{step.level}", vertex=step.carrier, rate=rate,
+                              phase=Fraction(0)))
+    plan = replace(base, levels=levels, grids=tuple(grids))
     expected = seq.base_rate + sum(seq.quotient_rates, Fraction(0))
     if plan.total_rate != expected:
         raise AssertionError("plan rate disagrees with the sequence rates")
@@ -489,14 +474,9 @@ def split_rate_transform(plan: SamplingPlan, donor: int, acceptor: int, amount) 
         raise ProblemFormatError("split amount must be non-negative")
     if amount == 0:
         return plan
-    spec = None
-    for cand in plan.levels:
-        if cand.vertex == acceptor:
-            spec = cand
-            break
-    if spec is None:
+    level = next((step.level for step in plan.levels if step.carrier == acceptor), None)
+    if level is None:
         raise ProblemFormatError(f"vertex {acceptor} carries no quotient grid")
-    level = spec.step.level
     level_id = f"level:{level}"
     # a level whose grid was donated away entirely has no rate left
     rate = next((g.rate for g in plan.grids if g.grid_id == level_id), Fraction(0))
@@ -577,29 +557,29 @@ def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
     return v0, v_star
 
 
-def _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
+def _carrier_groups(base: UniquenessSet, vertex_bw, v_star) -> list:
     """Partition a validated ``v_star`` into carrier groups, one per sorted
     base vertex.
 
     A spread vertex joins the group of the ``top_supported`` base vertex of
     its base extension row: it depends on a base prefix in (B, index) order
     exactly when its row vanishes past it. A zero row joins the first group;
-    the base vertex itself anchors its group. One solve decides them all.
+    the base vertex itself anchors its group. The base's one extension map
+    decides them all.
     """
-    base = UniquenessSet(spectrum, v0, lambda0)
-    ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
+    ordered = sorted(base.vertices, key=lambda v: (vertex_bw[v], v))
     groups = {w: [w] for w in ordered}
     for u in v_star:
-        if u not in v0:
-            top = base.top_supported(base.extension[u], vertex_bw)
+        if u not in base.vertices:
+            top = top_supported(base.vertices, base.extension[u], vertex_bw)
             groups[ordered[0] if top is None else top].append(u)
     return [(w, tuple(sorted(g))) for w, g in groups.items()]
 
 
-# Both spread constructions take a validated spread set: (sorted v0, sorted
-# v_star) as ``validate_spread_set`` returns it.
+# Both spread constructions take the plan's base uniqueness set and a spread
+# set ``v_star`` that ``validate_spread_set`` accepted and sorted.
 
-def _prefix_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star):
+def _prefix_spread_grids(base: UniquenessSet, vertex_bw, v_star):
     """Spread A: each sorted base vertex's full rate is shared evenly across
     its carrier group, phases interleaving into the original uniform grid.
 
@@ -607,7 +587,7 @@ def _prefix_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star):
     need pairwise-disjoint times within the stage but no simultaneity; each
     grid forms its own placement group, cohorts are the stages.
     """
-    parts = _carrier_groups(spectrum, lambda0, vertex_bw, v0, v_star)
+    parts = _carrier_groups(base, vertex_bw, v_star)
     grids = []
     base_stages = []
     for w, carriers in parts:
@@ -626,7 +606,7 @@ def _prefix_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star):
     return grids, base_stages
 
 
-def _level_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star):
+def _level_spread_grids(base: UniquenessSet, vertex_bw, v_star):
     """Spread B: the common base load goes to floor(m'/m) disjoint full
     uniqueness subsets, and each bandwidth increment to successively smaller
     disjoint groups; per-vertex accumulation stays within the floor-count
@@ -636,7 +616,7 @@ def _level_spread_grids(spectrum, lambda0, vertex_bw, v0, v_star):
     subset must stay simultaneous (one placement group) and all subsets
     across levels must stay disjoint in time (one cohort).
     """
-    ordered = sorted(v0, key=lambda v: (vertex_bw[v], v))
+    ordered = sorted(base.vertices, key=lambda v: (vertex_bw[v], v))
     bws = [Fraction(vertex_bw[w]) for w in ordered]
     m = len(ordered)
     grids = []
@@ -734,12 +714,13 @@ def _place_spread_grids(spread_grids, existing_grids) -> list:
     return out
 
 
-def choose_spread(spectrum, lambda0, vertex_bw, v0, v_star) -> list:
-    """Both spread constructions, best first: the lower top per-vertex rate
-    (the lower eccentricity) first, spread A on a tie."""
-    valid = validate_spread_set(spectrum, lambda0, v0, v_star)
-    options = [_prefix_spread_grids(spectrum, lambda0, vertex_bw, *valid),
-               _level_spread_grids(spectrum, lambda0, vertex_bw, *valid)]
+def choose_spread(base: UniquenessSet, vertex_bw, v_star) -> list:
+    """Both spread constructions over ``v_star`` of the load on the base
+    uniqueness set ``base``, best first: the lower top per-vertex rate (the
+    lower eccentricity) first, spread A on a tie."""
+    _, v_star = validate_spread_set(base.spectrum, base.lambda0, base.vertices, v_star)
+    options = [_prefix_spread_grids(base, vertex_bw, v_star),
+               _level_spread_grids(base, vertex_bw, v_star)]
     return sorted(options, key=lambda opt: max(rates_by_vertex(opt[0]).values(),
                                                default=Fraction(0)))
 
@@ -769,8 +750,7 @@ def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum,
     construction's first rank-deficient stage.
     """
     refusal = None
-    for spread in choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
-                                plan.base_vertices, v_star):
+    for spread in choose_spread(plan.base, plan.vertex_bw, v_star):
         try:
             return _certified(_spread_plan(plan, spread, v_star),
                               "spreading the base load over this set")

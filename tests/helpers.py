@@ -9,7 +9,7 @@ import numpy as np
 
 import ctgs
 from ctgs import BandwidthProfile, GraphSignal, SamplingPlan, Spectrum
-from ctgs.dependence import x_support
+from ctgs.dependence import top_supported, x_support
 from ctgs.errors import ReconstructionError
 from ctgs.numerics import (COEFF_TOL, harmonic_cutoff, is_inf, least_period, n_trig_coeffs,
                            null_space)
@@ -284,22 +284,41 @@ def verify_membership(spectrum, profile, signal, tol: float = COEFF_TOL) -> bool
 def quotient_witness(spectrum: Spectrum, profile: BandwidthProfile, step, period) -> GraphSignal:
     """Signal whose peeled transform has support reaching the quotient bound.
 
-    Construction from the tightness argument: full-bandwidth content at a
-    contributing vertex of the optimal uniqueness set, zero elsewhere on it.
+    Construction from the tightness argument: full-bandwidth content at the
+    level's carrier, which contributes to the peeled transform, zero
+    elsewhere on the level's basis.
     """
     period = Fraction(period)
-    support = x_support(spectrum.row(step.lambda_star) @ step.basis.extension)
     cutoff = harmonic_cutoff(step.b_star, period)
-    candidates = [v for v, hit in zip(step.basis.vertices, support) if hit
-                  and profile.vertex_bw[v] >= step.b_star]
-    if not candidates:
-        raise AssertionError("no witness vertex; quotient bound computation inconsistent")
-    vstar = candidates[0]
+    if profile.vertex_bw[step.carrier] < step.b_star:
+        raise AssertionError("carrier bandwidth below the quotient bound; chain inconsistent")
     coeffs = np.zeros(n_trig_coeffs(cutoff))
     if cutoff >= 0:
         coeffs[0 if cutoff == 0 else 2 * cutoff - 1] = 1.0
-    full = np.outer(step.basis.column(vstar), coeffs)
+    full = np.outer(step.column, coeffs)
     return PeriodicSignal(period, full)
+
+
+def level_bases_oracle(spectrum, profile, filtration):
+    """Oracle for the filtration's bottom-up chain: at every level, a fresh
+    greedy minimal-rate basis and its extension map under the level's zero
+    bounds give (V_i, b_i, carrier column), the carrier being the one vertex
+    of V_i - V_{i-1}, for levels 1..k."""
+    bw = profile.vertex_bw
+    levels = filtration.levels
+    prev, _ = ctgs.greedy_minimal_vertex_set(spectrum, levels[0].lambda0, bw)
+    out = []
+    for level in range(1, len(levels)):
+        lam0 = levels[level].lambda0
+        (lam,) = set(levels[level - 1].lambda0) - set(lam0)
+        basis, _ = ctgs.greedy_minimal_vertex_set(spectrum, lam0, bw)
+        extension = ctgs.extension_matrix(spectrum, lam0, basis.vertices)
+        top = top_supported(basis.vertices, spectrum.row(lam) @ extension, bw)
+        b_star = min(Fraction(bw[top]), Fraction(levels[level].freq_bw[lam]))
+        (carrier,) = set(basis.vertices) - set(prev.vertices)
+        out.append((basis.vertices, b_star, extension[:, basis.vertices.index(carrier)]))
+        prev = basis
+    return out
 
 
 def plan_roundtrip_ok(plan: SamplingPlan, spectrum: Spectrum, seed: int = 0,
@@ -498,7 +517,7 @@ def split_grids_loop(plan, donor, acceptor, amount):
     """Oracle for the grids of ``split_rate_transform``: the acceptor's level
     grid keeps its rate less 2 * amount, the donated grid starts at the
     interleaving phase, and ``decollide_phases_loop`` places them in order."""
-    level = next(spec.step.level for spec in plan.levels if spec.vertex == acceptor)
+    level = next(step.level for step in plan.levels if step.carrier == acceptor)
     level_id = f"level:{level}"
     amount = Fraction(amount)
     kept = plan.grid(level_id).rate - 2 * amount
@@ -517,9 +536,9 @@ def compute_stages_loop(plan):
 
     stages = [Stage(unknowns=(("base", w),), grid_ids=tuple(gids))
               for w, gids in plan.base_stages]
-    for spec in plan.levels:
-        prefix = f"level:{spec.step.level}"
-        stages.append(Stage(unknowns=(("level", spec.step.level),),
+    for step in plan.levels:
+        prefix = f"level:{step.level}"
+        stages.append(Stage(unknowns=(("level", step.level),),
                             grid_ids=tuple(g.grid_id for g in plan.grids
                                            if g.grid_id == prefix
                                            or g.grid_id.startswith(prefix + ":"))))
@@ -636,10 +655,10 @@ def redistribute_placement_only(spectrum, lambda0, vertex_bw, v0, v_star, sample
         if grid.rate != 2 * Fraction(vertex_bw[w]):
             raise ctgs.ProblemFormatError(
                 f"grid at vertex {w} has rate {grid.rate}, expected 2*{vertex_bw[w]}")
-    valid = planner.validate_spread_set(spectrum, lambda0, v0, v_star)
+    _, valid = planner.validate_spread_set(spectrum, lambda0, v0, v_star)
+    args = (ctgs.UniquenessSet(spectrum, v0, lambda0), vertex_bw)
     spread_grids, _ = min(
-        [planner._prefix_spread_grids(spectrum, lambda0, vertex_bw, *valid),
-         planner._level_spread_grids(spectrum, lambda0, vertex_bw, *valid)],
+        [planner._prefix_spread_grids(*args, valid), planner._level_spread_grids(*args, valid)],
         key=lambda opt: max(planner.rates_by_vertex(opt[0]).values(), default=Fraction(0)))
     spread = build_sample_set(
         SimpleNamespace(n=sample_set.n, grids=planner._place_spread_grids(spread_grids, ())),

@@ -148,8 +148,7 @@ def test_redistribute_reports_the_spread_the_plan_uses(tmp_path, capsys):
     problem = ctgs.load_problem(str(path))
     spectrum = ctgs.eigendecompose(problem.shift, tol=problem.options.tolerance)
     plan = ctgs.plan_problem(spectrum, problem.profile)[4]
-    best = ctgs.planner.choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
-                                      plan.base_vertices, v_star)[0]
+    best = ctgs.planner.choose_spread(plan.base, plan.vertex_bw, v_star)[0]
     returned = ctgs.redistribute_plan(plan, spectrum, v_star)
     assert returned.grids != ctgs.planner._spread_plan(plan, best, v_star).grids
     base_rates = ctgs.planner.rates_by_vertex(

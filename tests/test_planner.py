@@ -15,6 +15,7 @@ from helpers import (
     counting_density,
     greedy_sequence_loop,
     greedy_vertex_set_loop,
+    level_bases_oracle,
     plan_roundtrip_ok,
     plannable_at,
     plannable_instances,
@@ -54,34 +55,35 @@ def test_select_lambda_star_tie_breaks_by_index():
     assert ctgs.select_lambda_star((Fraction(5), Fraction(5), INF)) == 0
 
 
-def test_reduction_first_step(worked_spectrum, worked_profile):
-    step = ctgs.reduction_step(worked_spectrum, worked_profile, level=3)
+def test_reduction_first_step(worked_bundle):
+    filtration = worked_bundle[2]
+    step = filtration.step_at(3)
     assert step.lambda_star == 1
-    assert step.basis.lambda0 == ()
-    assert step.basis.vertices == tuple(range(5))
+    assert filtration.levels[3].lambda0 == ()
+    assert step.vertices == tuple(range(5))
     assert step.b_star == 2
 
 
-def test_reduction_second_step(worked_spectrum, worked_profile):
-    current = worked_profile.with_freq_zeroed(1)
-    step = ctgs.reduction_step(worked_spectrum, current, level=2)
+def test_reduction_second_step(worked_bundle):
+    filtration = worked_bundle[2]
+    step = filtration.step_at(2)
     assert step.lambda_star == 2
-    assert step.basis.lambda0 == (1,)
+    assert filtration.levels[2].lambda0 == (1,)
     assert step.b_star == 5
 
 
-def test_reduction_third_step(worked_spectrum, worked_profile):
-    current = worked_profile.with_freq_zeroed(1).with_freq_zeroed(2)
-    step = ctgs.reduction_step(worked_spectrum, current, level=1)
+def test_reduction_third_step(worked_spectrum, worked_profile, worked_bundle):
+    filtration = worked_bundle[2]
+    step = filtration.step_at(1)
     assert step.lambda_star == 0
-    assert step.basis.lambda0 == (1, 2)
+    assert filtration.levels[1].lambda0 == (1, 2)
     # the transform vector vanishes at one vertex of the best sets, so the
     # bound drops to 4 there; a larger pinned value would contradict the
     # admissibility conditions (the level-1 carrier has bandwidth 4)
     assert step.b_star == 4
-    assert step.basis.vertices in ((1, 2, 4), (2, 3, 4))
-    x_vec = worked_spectrum.row(0) @ step.basis.extension
-    support = [v for v, x in zip(step.basis.vertices, x_vec) if abs(x) > 1e-8]
+    assert step.vertices in ((1, 2, 4), (2, 3, 4))
+    x_vec = ctgs.x_vector(worked_spectrum, filtration.levels[1].lambda0, step.vertices, 0)
+    support = [v for v, x in zip(step.vertices, x_vec) if abs(x) > 1e-8]
     bw = worked_profile.vertex_bw
     assert max(bw[v] for v in support) == 4
 
@@ -95,15 +97,41 @@ def test_quotient_bound_matches_bruteforce_oracle():
     while checked < 200:
         n = int(rng.integers(2, 9))
         spectrum = random_spectrum(rng, n, unit_weights=checked % 2 == 0)
-        current = random_profile(rng, n)
-        if ctgs.select_lambda_star(current.freq_bw) is None:
+        profile = random_profile(rng, n)
+        filtration = ctgs.build_filtration(spectrum, profile)
+        if filtration.depth == 0:
             continue
-        while (lam := ctgs.select_lambda_star(current.freq_bw)) is not None:
-            step = ctgs.reduction_step(spectrum, current)
-            assert step.b_star == quotient_bound_bruteforce(spectrum, current, lam)
-            assert ctgs.is_uniqueness_set(spectrum, step.basis.lambda0, step.basis.vertices)
-            current = current.with_freq_zeroed(lam)
+        for step in filtration.steps:
+            level = filtration.levels[step.level]
+            current = ctgs.BandwidthProfile(profile.vertex_bw, level.freq_bw)
+            assert step.b_star == quotient_bound_bruteforce(spectrum, current, step.lambda_star)
+            assert ctgs.is_uniqueness_set(spectrum, level.lambda0, step.vertices)
         checked += 1
+
+
+def test_filtration_matches_per_level_bases_oracle():
+    """The bottom-up chain has every level's fresh greedy basis, quotient
+    bound and carrier column (to 1e-10 relative) on 200 random filtrations
+    with n <= 40, half on unit-weight graphs, and on the n = 200 instance,
+    whose depth is 81."""
+    rng = np.random.default_rng(4040)
+    cases = []
+    while len(cases) < 200:
+        n = int(rng.integers(2, 41))
+        spectrum = random_spectrum(rng, n, unit_weights=len(cases) % 2 == 0)
+        profile = random_profile(rng, n)
+        if ctgs.select_lambda_star(profile.freq_bw) is not None:
+            cases.append((spectrum, profile))
+    spectrum, profile = plannable_at(200, 200)
+    cases.append((spectrum, ctgs.plan_problem(spectrum, profile)[1]))
+    for spectrum, profile in cases:
+        filtration = ctgs.build_filtration(spectrum, profile)
+        oracle = level_bases_oracle(spectrum, profile, filtration)
+        for step, (vertices, b_star, column) in zip(
+                [filtration.step_at(i) for i in range(1, filtration.depth + 1)], oracle):
+            assert (step.vertices, step.b_star) == (vertices, b_star)
+            assert np.max(np.abs(step.column - column)) <= 1e-10 * np.max(np.abs(column))
+    assert filtration.depth == 81
 
 
 def test_worked_filtration(worked_spectrum, worked_bundle):
@@ -168,6 +196,15 @@ def test_verifier_rejects_tampered_sequence(worked_spectrum, worked_bundle):
         base_rate=seq.base_rate,
         quotient_rates=seq.quotient_rates)
     assert ctgs.verify_admissible_sequence(worked_spectrum, finite, filtration, bad)
+
+
+def test_make_plan_refuses_a_sequence_off_the_chain(worked_spectrum, worked_bundle):
+    """A plan reads each level's extension column from its filtration step,
+    so a sequence whose vertices are not the steps' carriers is refused."""
+    _, finite, filtration, seq, _ = worked_bundle
+    swapped = replace(seq, added=(seq.added[0], seq.added[2], seq.added[1]))
+    with pytest.raises(AssertionError, match="carriers"):
+        ctgs.make_plan(worked_spectrum, finite, filtration, swapped)
 
 
 def test_verifier_flags_costlier_level0_set():
@@ -268,56 +305,80 @@ def test_carrier_groups_match_per_prefix_oracle():
             continue
         extra = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
         v_star = tuple(sorted(set(v0) | set(extra)))
-        assert ctgs.planner._carrier_groups(spectrum, lam0, bw, v0, v_star) \
+        assert ctgs.planner._carrier_groups(ctgs.UniquenessSet(spectrum, v0, lam0), bw, v_star) \
             == carrier_groups_loop(spectrum, lam0, bw, v0, v_star)
         checked += 1
 
 
-def test_plan_n60_svd_count(monkeypatch):
-    """The greedy scans make no SVD, so one plan_problem at n = 60 makes
-    3 per filtration level plus 3: one uniqueness check per greedy basis,
-    and the verifier's uniqueness test and null space per level."""
-    spectrum, profile = plannable_at(60, seed=60)
+def _counted(monkeypatch, name):
+    """The argument shapes of every ``np.linalg.<name>`` call from now on."""
     calls = []
-    svd = np.linalg.svd
+    original = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_plan_n60_svd_count(monkeypatch):
+    """The greedy scans make no SVD, so one plan_problem at n = 60 makes
+    2 per filtration level plus 4: the verifier's uniqueness test and null
+    space per level, and one uniqueness check for each of the filtration's,
+    the sequence's and the verifier's level-0 greedy bases and for the
+    verifier's V_0."""
+    spectrum, profile = plannable_at(60, seed=60)
+    calls = _counted(monkeypatch, "svd")
     _, _, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
     assert filtration.depth >= 10
-    assert len(calls) <= 3 * (filtration.depth + 1)
+    assert len(calls) <= 2 * filtration.depth + 4
 
 
 def test_plan_n60_solve_count(monkeypatch):
-    """Each level's extension map is solved once, by its filtration step, so
-    one plan_problem at n = 60 makes 2 solves per level plus 1: the step's
-    extension and the verifier's x-test per level, and the base extension."""
+    """The filtration solves its level-0 extension map once and grows it by
+    rank-one updates, so one plan_problem at n = 60 makes 1 solve per level
+    (the verifier's x-test) plus 1."""
     spectrum, profile = plannable_at(60, seed=60)
-    calls = []
-    solve = np.linalg.solve
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    calls = _counted(monkeypatch, "solve")
     _, _, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
     assert filtration.depth >= 10
-    assert len(calls) <= 2 * filtration.depth + 1
+    assert len(calls) <= filtration.depth + 1
+
+
+def test_filtration_n60_makes_one_svd_and_one_solve(monkeypatch):
+    """At any depth the filtration makes one greedy scan, whose uniqueness
+    check is its one SVD, and one solve, the level-0 extension map."""
+    spectrum, profile = plannable_at(60, seed=60)
+    finite = ctgs.plan_problem(spectrum, profile)[1]
+    svds, solves = _counted(monkeypatch, "svd"), _counted(monkeypatch, "solve")
+    filtration = ctgs.build_filtration(spectrum, finite)
+    assert filtration.depth >= 10
+    assert (len(svds), len(solves)) == (1, 1)
+
+
+def test_redistribute_solves_the_base_map_once(worked_spectrum, worked_profile, monkeypatch):
+    """Spreading groups the carriers with the plan's own base extension map,
+    which the recoverability certificate reads too: one solve in all."""
+    plan = ctgs.plan_problem(worked_spectrum, worked_profile)[4]
+    solves = _counted(monkeypatch, "solve")
+    ctgs.redistribute_plan(plan, worked_spectrum, (1, 2, 3))
+    assert len(solves) == 1
 
 
 def test_plan_sorts_the_vertices_once():
-    """Every greedy basis of one plan scans the vertices in one (B, index)
-    order, sorted once for the plan's bandwidth vector."""
+    """Every greedy scan of one plan, and the filtration's carrier search,
+    read the vertices in one (B, index) order, sorted once for the plan's
+    bandwidth vector: the filtration reads it twice, and the sequence and
+    the verifier once each."""
     spectrum, profile = plannable_at(60, seed=60)
     order = ctgs.dependence._bandwidth_order
     order.cache_clear()
     _, finite, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
     info = order.cache_info()
-    assert (info.misses, info.hits) == (1, filtration.depth + 1)
+    assert filtration.depth >= 10
+    assert (info.misses, info.hits) == (1, 3)
     assert order(finite.vertex_bw) == tuple(
         sorted(range(spectrum.n), key=lambda v: (finite.vertex_bw[v], v)))
 
@@ -567,17 +628,17 @@ def test_split_refuses_exactly_the_unrecoverable_splits():
     splits, refused = 0, 0
     for spectrum, _, bundle in plannable_instances(11, 150):
         plan = bundle[4]
-        for spec in plan.levels:
-            half = spec.step.b_star / 2
+        for step in plan.levels:
+            half = step.b_star / 2
             for donor in range(plan.n):
-                if donor == spec.vertex or abs(plan.visibility(("level", spec.step.level),
-                                                               donor)) <= 1e-10:
+                if donor == step.carrier or abs(plan.visibility(("level", step.level),
+                                                                donor)) <= 1e-10:
                     continue
                 splits += 1
                 recoverable = plan_roundtrip_ok(
-                    unchecked_split(plan, donor, spec.vertex, half), spectrum)
+                    unchecked_split(plan, donor, step.carrier, half), spectrum)
                 try:
-                    moved = ctgs.split_rate_transform(plan, donor, spec.vertex, half)
+                    moved = ctgs.split_rate_transform(plan, donor, step.carrier, half)
                 except ctgs.ProblemFormatError as exc:
                     assert not recoverable and "unrecoverable" in str(exc)
                     refused += 1
@@ -608,27 +669,27 @@ def test_plans_match_placement_and_stage_oracles():
             check(ctgs.redistribute_plan(plan, spectrum, spread_set(spectrum, plan)))
         except ctgs.ProblemFormatError:
             pass
-        for spec in plan.levels:
+        for step in plan.levels:
             for donor in range(plan.n):
-                half = spec.step.b_star / 2
+                half = step.b_star / 2
                 try:
-                    once = ctgs.split_rate_transform(plan, donor, spec.vertex, half)
+                    once = ctgs.split_rate_transform(plan, donor, step.carrier, half)
                 except ctgs.ProblemFormatError:
                     continue
-                assert once.grids == split_grids_loop(plan, donor, spec.vertex, half)
+                assert once.grids == split_grids_loop(plan, donor, step.carrier, half)
                 check(once)
                 for other in plan.levels:
                     rest = sum(g.rate for g in once.grids
-                               if g.grid_id == f"level:{other.step.level}") / 2
+                               if g.grid_id == f"level:{other.level}") / 2
                     if not rest:
                         continue
                     for donor2 in range(plan.n):
                         try:
-                            twice = ctgs.split_rate_transform(once, donor2, other.vertex, rest)
+                            twice = ctgs.split_rate_transform(once, donor2, other.carrier, rest)
                         except ctgs.ProblemFormatError:
                             continue
-                        assert twice.grids == split_grids_loop(once, donor2, other.vertex, rest)
+                        assert twice.grids == split_grids_loop(once, donor2, other.carrier, rest)
                         check(twice)
-                        repeated += other is spec
+                        repeated += other is step
     assert repeated > 0
     assert merged > compared // 2, (merged, compared)

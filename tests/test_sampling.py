@@ -160,8 +160,7 @@ def test_redistribute_matches_placement_only_oracle():
         if not plan.base_vertices:
             continue
         v_star = spread_set(spectrum, plan)
-        ranked = ctgs.planner.choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
-                                            plan.base_vertices, v_star)
+        ranked = ctgs.planner.choose_spread(plan.base, plan.vertex_bw, v_star)
         period = ctgs.numerics.least_period(
             [g.rate for g in plan.grids] + [g.rate for opt in ranked for g in opt[0]])
         base = _base_only(ctgs.build_sample_set(plan, "periodic", period))
@@ -177,10 +176,10 @@ def _first_recoverable_spread(plan, spectrum, v_star):
     """Oracle for ``redistribute_plan``: both constructions, ranked by top
     per-vertex rate (spread A on a tie), the first that round-trips."""
     planner = ctgs.planner
-    args = (spectrum, plan.base_lambda0, plan.vertex_bw)
-    valid = planner.validate_spread_set(spectrum, plan.base_lambda0, plan.base_vertices, v_star)
-    options = sorted([planner._prefix_spread_grids(*args, *valid),
-                      planner._level_spread_grids(*args, *valid)],
+    args = (plan.base, plan.vertex_bw)
+    _, valid = planner.validate_spread_set(spectrum, plan.base_lambda0, plan.base_vertices, v_star)
+    options = sorted([planner._prefix_spread_grids(*args, valid),
+                      planner._level_spread_grids(*args, valid)],
                      key=lambda opt: max(planner.rates_by_vertex(opt[0]).values()))
     for option in options:
         candidate = planner._spread_plan(plan, option, v_star)
@@ -215,8 +214,7 @@ def test_redistribute_plan_falls_back_to_runner_up(monkeypatch):
                 continue
             v_star.append(v)
         want = _first_recoverable_spread(plan, spectrum, v_star)
-        best = planner.choose_spread(spectrum, plan.base_lambda0, plan.vertex_bw,
-                                     plan.base_vertices, v_star)[0]
+        best = planner.choose_spread(plan.base, plan.vertex_bw, v_star)[0]
         best_plan = planner._spread_plan(plan, best, v_star)
         if want is not None and want.grids != best_plan.grids:
             fallbacks.add("B" if any(":inc:" in g.grid_id for g in want.grids) else "A")
@@ -259,8 +257,7 @@ def test_redistribute_random_instances_respect_bound():
         if not all(ctgs.is_uniqueness_set(spectrum, plan.base_lambda0, sub)
                    for sub in combinations(v_star, len(v0))):
             continue
-        ranked = ctgs.planner.choose_spread(
-            spectrum, plan.base_lambda0, finite.vertex_bw, v0, v_star)
+        ranked = ctgs.planner.choose_spread(plan.base, finite.vertex_bw, v_star)
         period = ctgs.numerics.least_period(
             [g.rate for g in plan.grids] + [g.rate for opt in ranked for g in opt[0]])
         full = ctgs.build_sample_set(plan, "periodic", period)
@@ -524,11 +521,11 @@ def _oracle_sweep():
     for _, _, bundle in plannable_instances(11, 150):
         plan = bundle[4]
         yield plan, (1, 2, 3, 4, 8, 32)
-        for spec in plan.levels:
-            unknown = ("level", spec.step.level)
+        for step in plan.levels:
+            unknown = ("level", step.level)
             for donor in range(plan.n):
-                if donor != spec.vertex and abs(plan.visibility(unknown, donor)) > 1e-10:
-                    yield unchecked_split(plan, donor, spec.vertex, spec.step.b_star / 2), (1, 2)
+                if donor != step.carrier and abs(plan.visibility(unknown, donor)) > 1e-10:
+                    yield unchecked_split(plan, donor, step.carrier, step.b_star / 2), (1, 2)
 
 
 def test_recover_matches_dense_lstsq_oracle():
@@ -614,11 +611,11 @@ def test_spread_certificate_matches_round_trip():
         if not plan.base_vertices:
             continue
         v_star = spread_set(spectrum, plan)
-        args = (spectrum, plan.base_lambda0, plan.vertex_bw)
-        valid = planner.validate_spread_set(spectrum, plan.base_lambda0, plan.base_vertices,
-                                            v_star)
-        for option in (planner._prefix_spread_grids(*args, *valid),
-                       planner._level_spread_grids(*args, *valid)):
+        args = (plan.base, plan.vertex_bw)
+        _, valid = planner.validate_spread_set(spectrum, plan.base_lambda0, plan.base_vertices,
+                                               v_star)
+        for option in (planner._prefix_spread_grids(*args, valid),
+                       planner._level_spread_grids(*args, valid)):
             candidate = planner._spread_plan(plan, option, v_star)
             certified = not ctgs.sampling.rank_deficient_stages(candidate)
             assert certified == plan_roundtrip_ok(candidate, spectrum)
