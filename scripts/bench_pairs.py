@@ -17,7 +17,8 @@ every pair the seed, the order, each side's end-to-end metrics (the
 for every metric each side's median and numpy's linear quartiles over the
 pairs, how many pairs the change won, the relative change of the median,
 whether that change is within the metric's bound, and whether the medians
-lie further apart than the parent's interquartile range. The file is
+lie further apart than the parent's interquartile range. With ``--claim W:M``
+metric M of workload W also records ``claim_met``, see ``summarize``. The file is
 rewritten after every pair, so an interrupted run keeps the pairs it made.
 """
 
@@ -58,8 +59,13 @@ def bench_once(tree, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(pairs, metrics):
-    """Per metric: both sides' medians and quartiles, and the pair verdicts."""
+def summarize(pairs, metrics, claimed=None):
+    """Per metric: both sides' medians and quartiles, and the pair verdicts.
+
+    The ``claimed`` metric also gets ``claim_met``: the change won at least
+    nine tenths of the pairs (a tie counts for neither side) and its median
+    is better than the parent's by more than the parent's interquartile
+    range."""
     summary = {}
     for metric in metrics:
         name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
@@ -72,14 +78,17 @@ def summarize(pairs, metrics):
         before, after = stats["parent"]["median"], stats["change"]["median"]
         relative = (after - before) / before if before else 0.0
         worsening = relative if lower else -relative
+        gap_exceeds_iqr = abs(after - before) > stats["parent"]["q3"] - stats["parent"]["q1"]
         summary[name] = {
             **stats,
             "change_better_in": f"{wins} of {len(pairs)} pairs",
             "relative_change_of_median": relative,
             "within_bound": worsening <= bound,
-            "median_gap_exceeds_parent_iqr":
-                abs(after - before) > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "median_gap_exceeds_parent_iqr": gap_exceeds_iqr,
         }
+        if name == claimed:
+            summary[name]["claim_met"] = bool(
+                10 * wins >= 9 * len(pairs) and worsening < 0 and gap_exceeds_iqr)
     return summary
 
 
@@ -112,8 +121,10 @@ def main(argv=None) -> int:
             f"relative worsening of the median BENCHMARK.json allows. {args.note}").strip(),
         "host": host(),
     }
+    claimed = {}
     if args.claim:
         workload, metric = args.claim.split(":")
+        claimed[workload] = metric
         doc["claimed"] = {"workload": workload, "metric": metric}
     doc["workloads"] = {}
     out_path = ROOT / f"BENCH_{args.pr}.json"
@@ -133,8 +144,8 @@ def main(argv=None) -> int:
                     "failed": {side: results[side]["failed"] for side in SIDES},
                     "attempted": {side: results[side]["attempted"] for side in SIDES},
                 })
-                doc["workloads"][workload] = {"pairs": pairs,
-                                              "summary": summarize(pairs, metrics)}
+                doc["workloads"][workload] = {
+                    "pairs": pairs, "summary": summarize(pairs, metrics, claimed.get(workload))}
                 out_path.write_text(json.dumps(doc, indent=1) + "\n")
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {pairs[-1][side]['ops_per_s']:.1f} ops/s" for side in SIDES),

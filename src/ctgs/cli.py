@@ -241,7 +241,7 @@ def _cmd_redistribute(problem, args):
     labels = problem.graph.vertex_labels
     # ``after`` describes the base grids of the plan returned, whichever
     # spread construction passed the recoverability certificate
-    spread_plan = redistribute_plan(plan, spectrum, v_star)
+    spread_plan = redistribute_plan(plan, v_star)
     domain = _domain(mode, period, window, [g for g in plan.grids + spread_plan.grids
                                             if g.grid_id.startswith("base")])
     base_only = _base_sample_set(plan, mode, domain)

@@ -171,3 +171,14 @@ def is_invertible(matrix: np.ndarray) -> bool:
     if matrix.shape[0] == 0:
         return True
     return svd_rank(matrix) == matrix.shape[0]
+
+
+def invertible_stack(stack: np.ndarray) -> np.ndarray:
+    """:func:`is_invertible` of each square matrix of a stack, by one
+    batched SVD."""
+    if stack.shape[-1] == 0:
+        return np.ones(len(stack), dtype=bool)
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    # _sv_threshold's cut, one per matrix: each row of sigma descends
+    cut = SV_RTOL * np.maximum(sigma[:, :1], 1.0)
+    return (sigma > cut).sum(1) == stack.shape[-1]

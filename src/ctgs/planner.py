@@ -31,7 +31,7 @@ from .dependence import (
     x_vector,
 )
 from .errors import InfeasibleProblemError, ProblemFormatError
-from .numerics import COMPONENT_TOL, is_inf
+from .numerics import COMPONENT_TOL, invertible_stack, is_inf
 from .spectral import Spectrum
 
 
@@ -72,6 +72,7 @@ class Filtration:
 
     levels: tuple             # FiltrationLevel, index 0..k
     steps: tuple              # ReductionStep in discovery order (level k first)
+    base: UniquenessSet       # G_0, the level-0 greedy basis, with its solved map M_0
 
     @property
     def depth(self) -> int:
@@ -143,7 +144,7 @@ def build_filtration(spectrum: Spectrum, profile: BandwidthProfile) -> Filtratio
             level=level, lambda_star=lam,
             b_star=min(Fraction(bw[top]), Fraction(profile.freq_bw[lam])),
             vertices=tuple(sorted(vertices)), carrier=carrier, column=column))
-    return Filtration(levels=levels, steps=tuple(reversed(steps)))
+    return Filtration(levels=levels, steps=tuple(reversed(steps)), base=basis)
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,9 @@ def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
                              filtration: Filtration) -> AdmissibleSequence:
     """The admissible sequence is the filtration's chain of greedy bases.
 
-    V_0 is the level-0 greedy minimal-rate basis, V_i the basis that
-    :func:`build_filtration` grew at level i, and v_i its carrier. The chain
+    V_0 is the level-0 greedy minimal-rate basis and V_i the basis that
+    :func:`build_filtration` grew at level i, both as the filtration
+    records them, and v_i is V_i's carrier. The chain
     is always admissible:
 
     * Setup. D_i is level i's dependence matroid and phi the transform
@@ -240,10 +242,10 @@ def find_admissible_sequence(spectrum: Spectrum, profile: BandwidthProfile,
     The independent verifier re-checks the chain; a failure can only be a
     numerical breakdown and raises InfeasibleProblemError naming the level.
     """
-    v0, base_rate = greedy_minimal_vertex_set(spectrum, filtration.levels[0].lambda0,
-                                              profile.vertex_bw)
+    v0 = filtration.base.vertices
+    base_rate = 2 * sum((Fraction(profile.vertex_bw[v]) for v in v0), Fraction(0))
     steps = [filtration.step_at(i) for i in range(1, filtration.depth + 1)]
-    seq = AdmissibleSequence(v_sets=(v0.vertices,) + tuple(step.vertices for step in steps),
+    seq = AdmissibleSequence(v_sets=(v0,) + tuple(step.vertices for step in steps),
                              added=tuple(step.carrier for step in steps), base_rate=base_rate,
                              quotient_rates=tuple(2 * b for b in filtration.quotient_bandwidths))
     failures = verify_admissible_sequence(spectrum, profile, filtration, seq)
@@ -383,12 +385,10 @@ def _compute_stages(plan: SamplingPlan) -> tuple:
     return tuple(stages)
 
 
-def base_plan(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence,
-              v0: Sequence[int]) -> SamplingPlan:
-    """The base level of a plan on the uniqueness set ``v0``: one rate-2B
+def base_plan(base: UniquenessSet, vertex_bw: Sequence) -> SamplingPlan:
+    """The base level of a plan on the uniqueness set ``base``: one rate-2B
     grid per base vertex in ascending (B, index) order (a zero-rate vertex
     gets an empty stage)."""
-    base = UniquenessSet(spectrum, v0, lambda0)
     grids = []
     base_stages = []
     for w in sorted(base.vertices, key=lambda v: (vertex_bw[v], v)):
@@ -406,12 +406,15 @@ def base_plan(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence,
 def make_plan(spectrum: Spectrum, profile: BandwidthProfile,
               filtration: Filtration, seq: AdmissibleSequence) -> SamplingPlan:
     """Assemble grids and the recovery schedule from an admissible sequence,
-    which must be the filtration's chain: each level's grid sits on the
-    carrier whose extension column the plan reads."""
+    which must be the filtration's chain: the base grids sit on the
+    filtration's level-0 basis and each level's grid on the carrier, whose
+    recorded extension maps the plan reads."""
     levels = tuple(filtration.step_at(i) for i in range(1, filtration.depth + 1))
     if seq.added != tuple(step.carrier for step in levels):
         raise AssertionError("sequence vertices are not the filtration's carriers")
-    base = base_plan(spectrum, filtration.levels[0].lambda0, profile.vertex_bw, seq.v_sets[0])
+    if seq.v_sets[0] != filtration.base.vertices:
+        raise AssertionError("sequence base set is not the filtration's level-0 basis")
+    base = base_plan(filtration.base, profile.vertex_bw)
     grids = list(base.grids)
     for step in levels:
         rate = 2 * step.b_star
@@ -533,9 +536,11 @@ def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
     """Check the spreading premise: V0 inside V*, every |V0|-subset of V*
     a uniqueness set: the eccentricity bound's full-spark premise, NP-hard
     to decide in general (Alexeev, Cahill and Mixon 2012), so every subset
-    is checked. The recoverability certificate is no substitute: on the
-    worked example it accepts spreads over V* = (2, 3, 4), (1, 2, 3, 4) and
-    (0, 1, 2, 3, 4) whose eccentricities exceed the bound. More subsets than
+    is checked, all by one batched SVD; the first failing subset in
+    ``combinations`` order is named. The recoverability certificate is no
+    substitute: on the worked example it accepts spreads over
+    V* = (2, 3, 4), (1, 2, 3, 4) and (0, 1, 2, 3, 4) whose eccentricities
+    exceed the bound. More subsets than
     ``enumerate_uniqueness_sets`` checks at its own guard are refused
     before any is checked. Returns (sorted v0, sorted v_star)."""
     v0 = tuple(sorted(set(v0)))
@@ -551,9 +556,16 @@ def validate_spread_set(spectrum: Spectrum, lambda0: Sequence[int],
         raise ProblemFormatError(
             f"spread set too large to validate: {subsets} subsets of {len(v0)} of its "
             f"{len(v_star)} vertices, more than the {limit} the enumeration checks")
-    for sub in combinations(v_star, len(v0)):
-        if not is_uniqueness_set(spectrum, lambda0, sub):
-            raise ProblemFormatError(f"spread set invalid: {sub} is not a uniqueness set")
+    subs = list(combinations(v_star, len(v0)))
+    rows = np.array(sorted(set(lambda0)), dtype=int)
+    # every subset's complement block, in one stack for one batched SVD
+    comps = np.array([[v for v in range(spectrum.n) if v not in sub] for sub in subs],
+                     dtype=int).reshape(len(subs), -1)
+    full = (invertible_stack(spectrum.basis[rows][:, comps].transpose(1, 0, 2))
+            if len(rows) == comps.shape[1] else np.zeros(len(subs), dtype=bool))
+    if not full.all():
+        raise ProblemFormatError(
+            f"spread set invalid: {subs[int(np.argmin(full))]} is not a uniqueness set")
     return v0, v_star
 
 
@@ -738,8 +750,7 @@ def _spread_plan(plan: SamplingPlan, spread, v_star: Sequence[int]) -> SamplingP
     return candidate
 
 
-def redistribute_plan(plan: SamplingPlan, spectrum: Spectrum,
-                      v_star: Sequence[int]) -> SamplingPlan:
+def redistribute_plan(plan: SamplingPlan, v_star: Sequence[int]) -> SamplingPlan:
     """Spread the base sampling load over ``v_star`` without changing the rate.
 
     With quotient levels present, spread carriers observe quotient content

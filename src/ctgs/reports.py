@@ -159,8 +159,9 @@ def observation_csv(observation) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["vertex", "time", "value"])
-    for _, vertex, time, value in observation.entries:
-        writer.writerow([vertex, float(time), repr(value)])
+    for grid, values in zip(observation.grids, observation.values):
+        writer.writerows(zip(repeat(grid.vertex), grid.float_times.tolist(),
+                             map(repr, values.tolist())))
     return buf.getvalue()
 
 

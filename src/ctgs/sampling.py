@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .dependence import is_uniqueness_set
+from .dependence import UniquenessSet, is_uniqueness_set
 from .errors import ProblemFormatError, ReconstructionError
 from .numerics import least_period
 from .planner import SamplingPlan, Stage, base_plan, rates_by_vertex, redistribute_plan
@@ -44,17 +45,34 @@ OVERSAMPLE = 32
 
 @dataclass(frozen=True)
 class RealizedGrid:
+    """A uniform grid's sample times phase + j / rate, j in ``indices``:
+    a lattice, held as its index range, not as one time per point."""
+
     grid_id: str
     vertex: int
     rate: Fraction
     phase: Fraction
-    times: tuple  # Fractions
+    indices: range
+
+    @cached_property
+    def times(self) -> tuple:
+        """The sample times as Fractions, for the analysis tools and tests."""
+        return _grid_times(self.rate, self.phase, self.indices)
 
     @cached_property
     def float_times(self) -> np.ndarray:
-        """``times`` as floats, converted once per grid; sampling, recovery
-        and the CSV writers all read this array."""
-        return np.array([t.numerator / t.denominator for t in self.times], dtype=float)
+        """The sample times as floats: (p*r + j*s*q) / (q*r) for phase p/q and
+        rate r/s, each the correctly rounded float of its exact time. While
+        every integer involved stays within 2^53 floats hold them exactly and
+        one numpy division rounds like the true division of Python ints,
+        which serves the rest."""
+        p, q = self.phase.numerator, self.phase.denominator
+        r, s = self.rate.numerator, self.rate.denominator
+        offset, step, scale = p * r, s * q, q * r
+        first, stop = self.indices.start, self.indices.stop
+        if abs(offset) + step * max(abs(first), abs(stop)) <= 2 ** 53 and scale <= 2 ** 53:
+            return (offset + step * np.arange(first, stop, dtype=float)) / scale
+        return np.array([(offset + j * step) / scale for j in self.indices], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +94,7 @@ class SampleSet:
         return rates_by_vertex(self.grids)
 
     def n_points(self) -> int:
-        return sum(len(g.times) for g in self.grids)
+        return sum(len(g.indices) for g in self.grids)
 
 
 def sample_rate(sample_set: SampleSet) -> Fraction:
@@ -93,17 +111,17 @@ def eccentricity(sample_set: SampleSet) -> Fraction:
     return Fraction(sample_set.n) * top / total
 
 
-def _periodic_grid_times(rate: Fraction, phase: Fraction, period: Fraction) -> tuple:
+def _periodic_indices(rate: Fraction, period: Fraction) -> range:
     count = rate * period
     if count.denominator != 1:
         raise ProblemFormatError(
             f"periodic mode needs integral samples per period; rate {rate} * T {period} = {count}")
-    return _grid_times(rate, phase, range(int(count)))
+    return range(int(count))
 
 
-def _sinc_grid_times(rate: Fraction, phase: Fraction, window) -> tuple:
+def _sinc_indices(rate: Fraction, phase: Fraction, window) -> range:
     lo, hi = sinc_indices(rate, phase, window)
-    return _grid_times(rate, phase, range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _grid_times(rate: Fraction, phase: Fraction, indices) -> tuple:
@@ -114,34 +132,41 @@ def _grid_times(rate: Fraction, phase: Fraction, indices) -> tuple:
     return tuple(Fraction(p * r + j * s * q, q * r) for j in indices)
 
 
+def _periodic_grid_times(rate: Fraction, phase: Fraction, period: Fraction) -> tuple:
+    return _grid_times(rate, phase, _periodic_indices(rate, period))
+
+
+def _sinc_grid_times(rate: Fraction, phase: Fraction, window) -> tuple:
+    return _grid_times(rate, phase, _sinc_indices(rate, phase, window))
+
+
 def build_sample_set(plan: SamplingPlan, mode: str, period_or_window) -> SampleSet:
-    """Realize the plan's grids as concrete sample times.
+    """Realize the plan's grids as lattices of sample times on the domain.
 
     Counts the points first and refuses a set of more than
-    ``MAX_SAMPLE_POINTS`` before building any time.
+    ``MAX_SAMPLE_POINTS``.
     """
     if mode == "periodic":
         domain = Fraction(period_or_window)
         if domain <= 0:
             raise ProblemFormatError("period must be positive")
-        points = sum(g.rate * domain for g in plan.grids)
-        grid_times = _periodic_grid_times
+        indices = [_periodic_indices(g.rate, domain) for g in plan.grids]
     elif mode == "sinc":
         domain = (Fraction(period_or_window[0]), Fraction(period_or_window[1]))
         if domain[1] <= domain[0]:
             raise ProblemFormatError("window must be non-degenerate")
-        points = sum(max(0, hi - lo + 1) for lo, hi in
-                     (sinc_indices(g.rate, g.phase, domain) for g in plan.grids))
-        grid_times = _sinc_grid_times
+        indices = [_sinc_indices(g.rate, g.phase, domain) for g in plan.grids]
     else:
         raise ProblemFormatError(f"unknown mode {mode!r}")
+    # ranges past sys.maxsize have no len()
+    points = sum(max(0, r.stop - r.start) for r in indices)
     if points > MAX_SAMPLE_POINTS:
         raise ProblemFormatError(
             f"the sample set would hold about 10^{math.floor(math.log10(int(points)))} points, "
             f"more than the {MAX_SAMPLE_POINTS} a sample set may hold; choose a shorter "
             f"period or window")
-    grids = tuple(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase,
-                               grid_times(g.rate, g.phase, domain)) for g in plan.grids)
+    grids = tuple(RealizedGrid(g.grid_id, g.vertex, g.rate, g.phase, r)
+                  for g, r in zip(plan.grids, indices))
     periodic = mode == "periodic"
     return SampleSet(n=plan.n, mode=mode, period=domain if periodic else None,
                      window=None if periodic else domain, grids=grids)
@@ -159,13 +184,13 @@ def redistribute(spectrum: Spectrum, lambda0: Sequence[int], vertex_bw: Sequence
     """
     if not is_uniqueness_set(spectrum, lambda0, v0):
         raise ProblemFormatError(f"the base set {tuple(sorted(set(v0)))} is not a uniqueness set")
-    plan = base_plan(spectrum, lambda0, vertex_bw, v0)
+    plan = base_plan(UniquenessSet(spectrum, v0, lambda0), vertex_bw)
     want = sorted((g.vertex, g.rate) for g in plan.grids)
     if sorted((g.vertex, g.rate) for g in sample_set.grids) != want:
         raise ProblemFormatError(
             "a base sample set holds one grid per positive-bandwidth base vertex, at rate 2B: "
             + (", ".join(f"rate {r} at vertex {v}" for v, r in want) or "none"))
-    return build_sample_set(redistribute_plan(plan, spectrum, v_star), sample_set.mode,
+    return build_sample_set(redistribute_plan(plan, v_star), sample_set.mode,
                             sample_set.domain)
 
 
@@ -188,28 +213,84 @@ def prop_bound_eccentricity(n: int, sorted_bw: Sequence, m_prime: int, total_rat
     return acc / total
 
 
+class _Entries(Sequence):
+    """An observation's (grid_id, vertex, time Fraction, value float) per
+    sample, in grid order. Its length is counted from the grids; the
+    tuples are built on first access."""
+
+    def __init__(self, observation):
+        self._observation = observation
+
+    def __len__(self) -> int:
+        return sum(len(values) for values in self._observation.values)
+
+    def __getitem__(self, index):
+        return self._all[index]
+
+    @cached_property
+    def _all(self) -> tuple:
+        return tuple(entry for grid, values in zip(self._observation.grids,
+                                                   self._observation.values)
+                     for entry in zip(repeat(grid.grid_id), repeat(grid.vertex),
+                                      grid.times, values.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """Sampled values, tagged by the grid they came from."""
+    """Sampled values: one array per sampled grid, in the grid's time order."""
 
-    entries: tuple  # (grid_id, vertex, time Fraction, value float)
+    grids: tuple              # RealizedGrid
+    values: tuple             # one float array per grid
 
-    def by_grid(self) -> dict:
-        out: dict = {}
-        for gid, vertex, time, value in self.entries:
-            out.setdefault(gid, []).append((time, value))
-        return out
+    @property
+    def entries(self) -> _Entries:
+        return _Entries(self)
+
+
+def _periodic_values(coeffs: np.ndarray, period: Fraction, grid: RealizedGrid,
+                     periods: int) -> np.ndarray:
+    """The trig series ``coeffs`` [a0, a1, b1, ...] of period ``period`` on
+    ``grid``, whose N samples span ``periods`` periods: one length-N inverse
+    FFT. Sample j lies at t_0 + j / rate, so harmonic k turns by
+    k / (rate * period) = k * periods / N per sample: it lands in bin
+    k * periods mod N with the factor exp(2 pi i k t_0 / period). Harmonics
+    that share a bin, on a grid with fewer samples than harmonics, add up."""
+    count = len(grid.indices)
+    cutoff = (len(coeffs) - 1) // 2
+    # a cos + b sin = Re((a - i b) e^{i theta})
+    c = np.zeros(cutoff + 1, complex)
+    c[:1] = coeffs[:1]
+    c[1:] = coeffs[1::2] - 1j * coeffs[2::2]
+    turn = (grid.phase + grid.indices.start / grid.rate) / period
+    if turn:
+        # k * t_0 / period mod 1, exactly, before it is rounded
+        num, den = turn.numerator % turn.denominator, turn.denominator
+        k = np.arange(cutoff + 1, dtype=np.int64 if cutoff * den < 2 ** 63 else object)
+        c *= np.exp((2j * np.pi / den) * (k * num % den).astype(float))
+    spectrum = np.zeros(count, complex)
+    np.add.at(spectrum, np.arange(cutoff + 1) * (periods % count) % count, c)
+    return np.fft.ifft(spectrum, norm="forward").real
 
 
 def sample_signal(signal: GraphSignal, sample_set: SampleSet) -> Observation:
-    """Pointwise evaluation of ``signal`` on every grid of the set."""
-    entries = []
-    for g in sample_set.grids:
-        if not g.times:
-            continue
-        values = signal.eval(g.vertex, g.float_times)
-        entries.extend(zip(repeat(g.grid_id), repeat(g.vertex), g.times, values.tolist()))
-    return Observation(entries=tuple(entries))
+    """The signal's values on every grid of the set.
+
+    On a periodic set each grid takes one inverse FFT of its vertex's trig
+    coefficients (:func:`_periodic_values`), O(N log N + K) for N samples
+    and K harmonics; the set's period must be a whole multiple of the
+    signal's. On a sinc set each grid evaluates ``signal.eval``.
+    """
+    if sample_set.mode == "periodic":
+        periods = (sample_set.period / Fraction(signal.domain)
+                   if signal.mode == "periodic" else None)
+        if periods is None or periods.denominator != 1:
+            raise ValueError(f"the sample set's period {sample_set.period} is not a whole "
+                             f"multiple of the signal's period {signal.domain}")
+        values = [_periodic_values(signal.coeffs[g.vertex], signal.domain, g, periods.numerator)
+                  if g.indices else np.zeros(0) for g in sample_set.grids]
+    else:
+        values = [signal.eval(g.vertex, g.float_times) for g in sample_set.grids]
+    return Observation(grids=sample_set.grids, values=tuple(values))
 
 
 # --- staged recovery -------------------------------------------------------
@@ -314,9 +395,9 @@ class _PeriodicStage:
     """
 
     def __init__(self, plan, layout, cols, grids, freqs):
-        m = self.m = math.gcd(*(len(g.times) for g in grids))
+        m = self.m = math.gcd(*(len(g.indices) for g in grids))
         self.layout, self.cols, self.top = layout, cols, len(freqs) // 2
-        counts = [len(g.times) // m for g in grids]
+        counts = [len(g.indices) // m for g in grids]
         self.row_vertex = np.repeat([g.vertex for g in grids], counts)
         self.rows = m * len(self.row_vertex)
         # every grid's first window, in one design
@@ -438,7 +519,7 @@ def _stage_systems(plan: SamplingPlan, sample_set: SampleSet, dense: bool = Fals
         layout, cols = _layout(stage.unknowns, bws, bases)
         stage_grids = [grids[gid] for gid in stage.grid_ids]
         system = None
-        if cols and any(g.times for g in stage_grids):
+        if cols and any(g.indices for g in stage_grids):
             system = (_DenseSystem(plan, layout, cols, stage_grids, bws, bases) if freqs is None
                       else _PeriodicStage(plan, layout, cols, stage_grids, freqs))
         return layout, cols, stage_grids, system
@@ -466,13 +547,17 @@ def _solve(factors, rhs) -> tuple:
     return solutions, fits
 
 
-def _stage_values(obs_by_grid, grid) -> np.ndarray:
-    pairs = obs_by_grid.get(grid.grid_id, [])
-    if [t for t, _ in pairs] != list(grid.times):
+def _stage_values(sampled: dict, grid: RealizedGrid) -> np.ndarray:
+    """The observed values of ``grid``: the observation must have sampled
+    it on the same lattice and hold one value per sample time."""
+    seen, values = sampled.get(grid.grid_id, (None, ()))
+    lattice = (grid.rate, grid.phase, grid.indices)
+    if (seen is None or (seen.rate, seen.phase, seen.indices) != lattice
+            or len(values) != len(grid.indices)):
         raise ReconstructionError(
             f"observation does not cover grid {grid.grid_id}",
-            {"grid": grid.grid_id, "expected": len(grid.times), "got": len(pairs)})
-    return np.array([v for _, v in pairs], dtype=float)
+            {"grid": grid.grid_id, "expected": len(grid.indices), "got": len(values)})
+    return values
 
 
 @dataclass(eq=False)
@@ -494,7 +579,7 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
     the observations.
     """
     freqs, systems = _stage_systems(plan, sample_set)
-    obs_by_grid = observation.by_grid()
+    sampled = {g.grid_id: (g, v) for g, v in zip(observation.grids, observation.values)}
     contents: dict = {}
     diagnostics: dict = {"stages": []}
     if freqs is not None:
@@ -502,7 +587,7 @@ def recover(observation: Observation, plan: SamplingPlan, spectrum: Spectrum,
         seen = np.zeros((plan.n, len(freqs)), complex)
 
     for stage, (layout, total_cols, stage_grids, system) in zip(plan.stages, systems):
-        values = [_stage_values(obs_by_grid, g) for g in stage_grids]
+        values = [_stage_values(sampled, g) for g in stage_grids]
         if total_cols == 0:
             for unknown, _, _ in layout:
                 contents[unknown] = np.zeros(0)

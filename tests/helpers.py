@@ -590,6 +590,22 @@ def spread_set(spectrum, plan):
     return tuple(sorted(v_star))
 
 
+def validate_spread_set_loop(spectrum, lambda0, v0, v_star):
+    """Oracle for ``planner.validate_spread_set``: one ``is_uniqueness_set``
+    per |V0|-subset of V*, in ``combinations`` order, stopping at the first
+    that fails. Returns (sorted v0, sorted v_star)."""
+    v0, v_star = tuple(sorted(set(v0))), tuple(sorted(set(v_star)))
+    if not v0:
+        raise ctgs.ProblemFormatError(
+            "the base uniqueness set is empty; there is no base load to spread")
+    if not set(v0) <= set(v_star):
+        raise ctgs.ProblemFormatError("the spread set must contain the base uniqueness set")
+    for sub in combinations(v_star, len(v0)):
+        if not ctgs.is_uniqueness_set(spectrum, lambda0, sub):
+            raise ctgs.ProblemFormatError(f"spread set invalid: {sub} is not a uniqueness set")
+    return v0, v_star
+
+
 def recover_dense(observation, plan, sample_set):
     """Oracle for ``sampling.recover``: each stage's real system, built
     densely over every sample, minus the solved blocks, solved by one
@@ -601,7 +617,7 @@ def recover_dense(observation, plan, sample_set):
 
     bws, bases = _bases(plan, sample_set.mode, sample_set.domain)
     grids = {g.grid_id: g for g in sample_set.grids}
-    obs_by_grid = observation.by_grid()
+    sampled = dict(zip((g.grid_id for g in observation.grids), observation.values))
     contents, stages = {}, []
     for stage in plan.stages:
         blocks, total_cols = _layout(stage.unknowns, bws, bases)
@@ -609,7 +625,7 @@ def recover_dense(observation, plan, sample_set):
         for gid in stage.grid_ids:
             grid = grids[gid]
             designs = _GridDesigns(bases, grid.float_times)
-            values = np.array([v for _, v in obs_by_grid.get(gid, [])])
+            values = sampled.get(gid, np.zeros(0))
             for solved, coeffs in contents.items():
                 scale = plan.visibility(solved, grid.vertex)
                 if scale != 0.0:
@@ -666,6 +682,19 @@ def redistribute_placement_only(spectrum, lambda0, vertex_bw, v0, v_star, sample
     if ctgs.sample_rate(spread) != ctgs.sample_rate(sample_set):
         raise AssertionError("redistribution changed the sample rate")
     return spread
+
+
+def trig_values_exact(signal, vertex, times):
+    """A periodic signal's values at Fraction ``times``, each harmonic's
+    angle reduced mod one period exactly before it is rounded: the
+    reference for the rounding of ``eval`` and of FFT sampling."""
+    period, row = Fraction(signal.domain), signal.coeffs[vertex]
+    out = []
+    for t in times:
+        turns = np.array([float(k * t / period % 1) for k in range(1, signal.cutoff + 1)])
+        angles = 2 * np.pi * turns
+        out.append(row[0] + row[1::2] @ np.cos(angles) + row[2::2] @ np.sin(angles))
+    return np.array(out)
 
 
 def fresh_design(signal, times):

@@ -47,6 +47,23 @@ def test_simulate_periodic_exact(worked_problem_file, capsys):
     assert report["sample_points"] == 32
 
 
+@pytest.mark.parametrize("period", ["1", "32"])
+def test_simulate_periodic_builds_no_fraction_times(worked_problem_file, capsys, monkeypatch,
+                                                    period):
+    """A periodic simulate samples and recovers from the grids' lattices
+    alone: no sample time is built as a Fraction."""
+    def built(self):
+        raise AssertionError("Fraction sample times were built")
+
+    monkeypatch.setattr(ctgs.sampling.RealizedGrid, "times", property(built))
+    code, out, err = _run(capsys, ["simulate", "--input", worked_problem_file,
+                                   "--mode", "periodic", "--period", period, "--seed", "1"])
+    assert code == 0, err
+    report = reports.parse_report(out)
+    assert report["max_relative_error"] < 1e-9
+    assert report["sample_points"] == 32 * int(period)
+
+
 def test_simulate_deterministic_bytes(worked_problem_file, capsys):
     _, first, _ = _run(capsys, ["simulate", "--input", worked_problem_file, "--seed", "3"])
     _, second, _ = _run(capsys, ["simulate", "--input", worked_problem_file, "--seed", "3"])
@@ -149,7 +166,7 @@ def test_redistribute_reports_the_spread_the_plan_uses(tmp_path, capsys):
     spectrum = ctgs.eigendecompose(problem.shift, tol=problem.options.tolerance)
     plan = ctgs.plan_problem(spectrum, problem.profile)[4]
     best = ctgs.planner.choose_spread(plan.base, plan.vertex_bw, v_star)[0]
-    returned = ctgs.redistribute_plan(plan, spectrum, v_star)
+    returned = ctgs.redistribute_plan(plan, v_star)
     assert returned.grids != ctgs.planner._spread_plan(plan, best, v_star).grids
     base_rates = ctgs.planner.rates_by_vertex(
         g for g in returned.grids if g.grid_id.startswith("base"))

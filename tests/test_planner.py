@@ -27,6 +27,7 @@ from helpers import (
     split_grids_loop,
     spread_set,
     unchecked_split,
+    validate_spread_set_loop,
 )
 
 LAM0_W0 = (0, 1, 2)
@@ -325,15 +326,15 @@ def _counted(monkeypatch, name):
 
 def test_plan_n60_svd_count(monkeypatch):
     """The greedy scans make no SVD, so one plan_problem at n = 60 makes
-    2 per filtration level plus 4: the verifier's uniqueness test and null
-    space per level, and one uniqueness check for each of the filtration's,
-    the sequence's and the verifier's level-0 greedy bases and for the
-    verifier's V_0."""
+    2 per filtration level plus 3: the verifier's uniqueness test and null
+    space per level, and one uniqueness check for each of the filtration's
+    and the verifier's level-0 greedy bases and for the verifier's V_0. The
+    sequence reads the filtration's level-0 basis."""
     spectrum, profile = plannable_at(60, seed=60)
     calls = _counted(monkeypatch, "svd")
     _, _, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
     assert filtration.depth >= 10
-    assert len(calls) <= 2 * filtration.depth + 4
+    assert len(calls) <= 2 * filtration.depth + 3
 
 
 def test_plan_n60_solve_count(monkeypatch):
@@ -358,27 +359,73 @@ def test_filtration_n60_makes_one_svd_and_one_solve(monkeypatch):
     assert (len(svds), len(solves)) == (1, 1)
 
 
+def test_spread_validation_matches_per_subset_oracle():
+    """The batched full-spark check gives the per-subset loop's verdict and
+    message, naming the same first failing subset, on the spread sets grown
+    one random vertex at a time from the base sets of 120 random plans
+    (n <= 9), half of them on unit-weight graphs."""
+    from ctgs.planner import validate_spread_set
+
+    rng = np.random.default_rng(31)
+    verdicts = {"valid": 0, "invalid": 0}
+    plans = 0
+    while plans < 120:
+        n = int(rng.integers(2, 10))
+        spectrum = random_spectrum(rng, n, unit_weights=plans % 2 == 0)
+        try:
+            plan = ctgs.plan_problem(spectrum, random_profile(rng, n))[4]
+        except ctgs.InfeasibleProblemError:
+            continue
+        plans += 1
+        others = [v for v in rng.permutation(n).tolist() if v not in plan.base_vertices]
+        for size in range(len(others) + 1):
+            args = (spectrum, plan.base_lambda0, plan.base_vertices,
+                    plan.base_vertices + tuple(others[:size]))
+            outcomes = []
+            for check in (validate_spread_set, validate_spread_set_loop):
+                try:
+                    outcomes.append(check(*args))
+                except ctgs.ProblemFormatError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            verdicts["invalid" if isinstance(outcomes[0], str) else "valid"] += 1
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_plan_stages_make_no_solve(worked_spectrum, worked_profile, monkeypatch):
+    """The plan's base is the filtration's level-0 basis, whose extension
+    map the filtration solved, so the recovery schedule reads it without
+    solving again."""
+    for spectrum, profile in [(worked_spectrum, worked_profile), plannable_at(60, seed=60)]:
+        plan = ctgs.plan_problem(spectrum, profile)[4]
+        solves = _counted(monkeypatch, "solve")
+        assert plan.stages
+        assert solves == []
+        monkeypatch.undo()
+
+
 def test_redistribute_solves_the_base_map_once(worked_spectrum, worked_profile, monkeypatch):
     """Spreading groups the carriers with the plan's own base extension map,
-    which the recoverability certificate reads too: one solve in all."""
+    which the recoverability certificate reads too; the filtration solved
+    it, so spreading makes no solve."""
     plan = ctgs.plan_problem(worked_spectrum, worked_profile)[4]
     solves = _counted(monkeypatch, "solve")
-    ctgs.redistribute_plan(plan, worked_spectrum, (1, 2, 3))
-    assert len(solves) == 1
+    ctgs.redistribute_plan(plan, (1, 2, 3))
+    assert len(solves) == 0
 
 
 def test_plan_sorts_the_vertices_once():
     """Every greedy scan of one plan, and the filtration's carrier search,
     read the vertices in one (B, index) order, sorted once for the plan's
-    bandwidth vector: the filtration reads it twice, and the sequence and
-    the verifier once each."""
+    bandwidth vector: the filtration reads it twice and the verifier once;
+    the sequence reads the filtration's level-0 basis."""
     spectrum, profile = plannable_at(60, seed=60)
     order = ctgs.dependence._bandwidth_order
     order.cache_clear()
     _, finite, filtration, _, _ = ctgs.plan_problem(spectrum, profile)
     info = order.cache_info()
     assert filtration.depth >= 10
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 2)
     assert order(finite.vertex_bw) == tuple(
         sorted(range(spectrum.n), key=lambda v: (finite.vertex_bw[v], v)))
 
@@ -666,7 +713,7 @@ def test_plans_match_placement_and_stage_oracles():
         plan = bundle[-1]
         check(plan)
         try:
-            check(ctgs.redistribute_plan(plan, spectrum, spread_set(spectrum, plan)))
+            check(ctgs.redistribute_plan(plan, spread_set(spectrum, plan)))
         except ctgs.ProblemFormatError:
             pass
         for step in plan.levels:

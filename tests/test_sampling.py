@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from ctgs.sampling import RealizedGrid
 
 from helpers import (PeriodicSignal, plan_roundtrip_ok, plannable_instances, random_member,
                      recover_dense, redistribute_placement_only,
-                     sinc_recovery_error_two_designs, spread_set, unchecked_split,
-                     unknowns_to_signal, verify_membership)
+                     sinc_recovery_error_two_designs, spread_set, trig_values_exact,
+                     unchecked_split, unknowns_to_signal, verify_membership)
 
 
 def _base_only(sample_set):
@@ -65,8 +66,8 @@ def test_eccentricity_values(worked_sets):
 
 
 def test_eccentricity_balanced():
-    grids = tuple(RealizedGrid(f"g{v}", v, Fraction(2), Fraction(0),
-                               (Fraction(0), Fraction(1, 2))) for v in range(5))
+    grids = tuple(RealizedGrid(f"g{v}", v, Fraction(2), Fraction(0), range(2))
+                  for v in range(5))
     balanced = ctgs.SampleSet(n=5, mode="periodic", period=Fraction(1), window=None, grids=grids)
     assert ctgs.eccentricity(balanced) == 1
 
@@ -225,9 +226,9 @@ def test_redistribute_plan_falls_back_to_runner_up(monkeypatch):
             refusal = (f"the stage of {list(unknowns)} unrecoverable: "
                        f"rank {rank} of {columns} columns")
             with pytest.raises(ctgs.ProblemFormatError, match=re.escape(refusal)):
-                ctgs.redistribute_plan(plan, spectrum, v_star)
+                ctgs.redistribute_plan(plan, v_star)
         else:
-            assert ctgs.redistribute_plan(plan, spectrum, v_star).grids == want.grids
+            assert ctgs.redistribute_plan(plan, v_star).grids == want.grids
         monkeypatch.setattr(planner, "validate_spread_set", original)
         assert len(validations) == 1
     # runner-ups of both kinds were returned
@@ -273,7 +274,7 @@ def test_redistribute_random_instances_respect_bound():
         # spreading the base problem (its simple-bandwidth space) recovers
         simple = ctgs.BandwidthProfile(finite.vertex_bw, filtration.levels[0].freq_bw)
         _, _, _, _, base_plan = ctgs.plan_problem(spectrum, simple)
-        spread_plan = ctgs.redistribute_plan(base_plan, spectrum, v_star)
+        spread_plan = ctgs.redistribute_plan(base_plan, v_star)
         sp_period = ctgs.numerics.least_period([g.rate for g in spread_plan.grids])
         sset = ctgs.build_sample_set(spread_plan, "periodic", sp_period)
         truth = random_member(spectrum, simple, sp_period, checked)
@@ -295,7 +296,7 @@ def test_spread_b_meets_the_eccentricity_bound():
             continue
         v_star = spread_set(spectrum, plan)
         try:
-            spread = ctgs.redistribute_plan(plan, spectrum, v_star)
+            spread = ctgs.redistribute_plan(plan, v_star)
         except ctgs.ProblemFormatError:
             continue
         base = [g for g in spread.grids if g.grid_id.startswith("base")]
@@ -311,7 +312,7 @@ def test_spread_b_meets_the_eccentricity_bound():
 
 def test_redistributed_plan_recovery(worked_spectrum, worked_bundle):
     _, finite, _, _, plan = worked_bundle
-    spread = ctgs.redistribute_plan(plan, worked_spectrum, (1, 2, 3))
+    spread = ctgs.redistribute_plan(plan, (1, 2, 3))
     assert spread.total_rate == plan.total_rate
     sset = ctgs.build_sample_set(spread, "periodic", 1)
     for seed in range(3):
@@ -368,9 +369,110 @@ def test_recover_detects_missing_observations(worked_spectrum, worked_bundle):
     sset = ctgs.build_sample_set(plan, "periodic", 1)
     truth = random_member(worked_spectrum, finite, 1, 6)
     obs = ctgs.sample_signal(truth, sset)
-    clipped = ctgs.Observation(entries=obs.entries[:-1])
+    clipped = ctgs.Observation(grids=obs.grids,
+                               values=obs.values[:-1] + (obs.values[-1][:-1],))
     with pytest.raises(ctgs.ReconstructionError):
         ctgs.recover(clipped, plan, worked_spectrum, sset)
+
+
+def test_recover_refuses_another_lattice(worked_spectrum, worked_bundle):
+    """Values sampled on other lattices, of the same lengths, are refused:
+    a grid of another phase or another first index."""
+    _, finite, _, _, plan = worked_bundle
+    sset = ctgs.build_sample_set(plan, "periodic", 1)
+    obs = ctgs.sample_signal(random_member(worked_spectrum, finite, 1, 6), sset)
+    last = obs.grids[-1]
+    moved = last.indices.start + 1, last.indices.stop + 1
+    for other in (replace(last, phase=last.phase + Fraction(1, 7)),
+                  replace(last, indices=range(*moved))):
+        shifted = ctgs.Observation(grids=obs.grids[:-1] + (other,), values=obs.values)
+        with pytest.raises(ctgs.ReconstructionError, match="does not cover grid"):
+            ctgs.recover(shifted, plan, worked_spectrum, sset)
+
+
+def _sampled_variants(spectrum, plan):
+    """``plan``, a half split of its first splittable level (phases off the
+    kept grid's lattice) and its spread over ``spread_set``, when they exist."""
+    variants = [plan]
+    for step in plan.levels:
+        donors = [d for d in range(plan.n) if d != step.carrier
+                  and abs(plan.visibility(("level", step.level), d)) > 1e-10]
+        if donors:
+            variants.append(unchecked_split(plan, donors[0], step.carrier, step.b_star / 2))
+            break
+    if plan.base_vertices:
+        try:
+            variants.append(ctgs.redistribute_plan(plan, spread_set(spectrum, plan)))
+        except ctgs.ProblemFormatError:
+            pass
+    return variants
+
+
+def test_fft_sampling_matches_eval():
+    """Periodic sampling takes each grid from one inverse FFT. On 200 random
+    plans, their split and spread variants, at 1, 4 and 32 times the least
+    period, it matches ``GraphSignal.eval`` at the grid's times to 1e-12 of
+    the vertex's coefficient l1 norm (the largest value its row can take),
+    for the synthesized signal and for a dense random series of 12
+    harmonics, which some grids sample with fewer points than harmonics."""
+    rng = np.random.default_rng(28)
+    seen = {"split": 0, "spread": 0, "folded": 0}
+    for spectrum, _, bundle in plannable_instances(28, 200):
+        finite, plan = bundle[1], bundle[4]
+        for variant in _sampled_variants(spectrum, plan):
+            seen["split"] += any(g.phase for g in variant.grids)
+            seen["spread"] += any(":carrier:" in g.grid_id or ":inc:" in g.grid_id
+                                  for g in variant.grids)
+            period = ctgs.numerics.least_period([g.rate for g in variant.grids])
+            signals = (ctgs.synthesize_signal(spectrum, finite, 5, "periodic", period, plan=plan),
+                       PeriodicSignal(period, rng.standard_normal((plan.n, 25))))
+            for multiple in (1, 4, 32):
+                sset = ctgs.build_sample_set(variant, "periodic", multiple * period)
+                for signal in signals:
+                    obs = ctgs.sample_signal(signal, sset)
+                    assert obs.grids == sset.grids
+                    for g, values in zip(obs.grids, obs.values):
+                        want = signal.eval(g.vertex, g.float_times)
+                        scale = float(np.abs(signal.coeffs[g.vertex]).sum())
+                        assert np.abs(values - want).max(initial=0.0) <= 1e-12 * scale
+                        seen["folded"] += 0 < len(g.indices) < signal.cutoff + 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_fft_sampling_rounds_better_than_eval():
+    """At 32 times the least period ``eval``'s angles k * t / T grow large;
+    the FFT reduces each harmonic's turn mod one exactly. Against values
+    with exactly reduced angles the FFT stays within 1e-14 of the largest
+    value, and within ``eval``'s own error."""
+    rng = np.random.default_rng(29)
+    fft_error = eval_error = 0.0
+    for spectrum, _, bundle in plannable_instances(29, 20):
+        plan = bundle[4]
+        for variant in _sampled_variants(spectrum, plan):
+            period = ctgs.numerics.least_period([g.rate for g in variant.grids])
+            signal = PeriodicSignal(period, rng.standard_normal((plan.n, 25)))
+            sset = ctgs.build_sample_set(variant, "periodic", 32 * period)
+            obs = ctgs.sample_signal(signal, sset)
+            exact = [trig_values_exact(signal, g.vertex, g.times) for g in obs.grids]
+            top = max((float(np.abs(v).max(initial=0.0)) for v in exact), default=1.0)
+            for g, values, want in zip(obs.grids, obs.values, exact):
+                fft_error = max(fft_error, np.abs(values - want).max(initial=0.0) / top)
+                eval_error = max(eval_error, np.abs(signal.eval(g.vertex, g.float_times)
+                                                    - want).max(initial=0.0) / top)
+    assert fft_error <= 1e-14
+    assert fft_error <= eval_error
+
+
+def test_sample_signal_refuses_a_period_mismatch(worked_bundle):
+    """A periodic set samples a signal whose period divides its own."""
+    _, _, _, _, plan = worked_bundle
+    sset = ctgs.build_sample_set(plan, "periodic", 2)
+    signal = PeriodicSignal(period=Fraction(4, 3), coeffs=np.ones((5, 3)))
+    with pytest.raises(ValueError, match="period 2 is not a whole multiple of the "
+                                         "signal's period 4/3"):
+        ctgs.sample_signal(signal, sset)
+    half = PeriodicSignal(period=Fraction(1, 2), coeffs=np.ones((5, 3)))
+    assert len(ctgs.sample_signal(half, sset).entries) == sset.n_points()
 
 
 def test_recover_detects_inconsistent_observations(worked_spectrum, worked_bundle):
@@ -683,7 +785,8 @@ def test_grid_times_exact_as_fractions_and_floats():
             assert all(t0 <= t <= t1 for t in times)
             assert phase + Fraction(lo + len(times), rate) > t1
         assert times == tuple(phase + Fraction(j, rate) for j in indices)
-        grid = RealizedGrid("g", 0, rate, phase, times)
+        grid = RealizedGrid("g", 0, rate, phase, indices)
+        assert grid.times == times
         assert grid.float_times.dtype == np.float64
         assert grid.float_times.tolist() == [float(t) for t in times]
         checked += len(times)
